@@ -38,7 +38,6 @@ from .constructions import (
     EvaluationDesign,
     INFINITY,
     PlaneCurveCensus,
-    PolePattern,
     build_design,
     construction_a_simple_poles,
     construction_a_single_point,
@@ -78,7 +77,6 @@ from .verification import (
     brute_force_coherence,
     brute_force_rip_delta,
     coherence_via_differences,
-    count_smooth_plane_curves,
     fermat_section_counts,
 )
 

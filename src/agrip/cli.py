@@ -181,7 +181,7 @@ def _apply_scheme(M, scheme_text, sidecar):
     if scheme_text == "ones":
         return M, {"kind": "all_ones"}
     if scheme_text.startswith("random:"):
-        seed = int(scheme_text.split(":", 1)[1])
+        seed = _parse_int(scheme_text.split(":", 1)[1], "random-sign seed")
         signed = sg.randomize_signs(M, seed)
         return signed, signed.meta["sign_scheme"]
     if scheme_text == "balanced":
@@ -211,7 +211,8 @@ def cmd_sign(args) -> int:
 # -- analyze ---------------------------------------------------------------------
 
 
-def _certificate_if_balanced(M, meta, log_base, pair_cap):
+def _certificate_if_balanced(M, meta, report, log_base):
+    """The balanced certificate, reusing the report's mu and omega_signed."""
     sign_kind = (meta.get("sign_scheme") or {}).get("kind")
     if sign_kind != "balanced":
         return None
@@ -220,7 +221,8 @@ def _certificate_if_balanced(M, meta, log_base, pair_cap):
     field = parse_descriptor(meta["field"])
     design = cons.build_design(meta["family"], field, meta["params"])
     cert = sg.certify_strong_coherence(M, design, log_base=log_base,
-                                       pair_cap=max(pair_cap, M.N))
+                                       _mu=report.mu,
+                                       _omega=report.omega_signed)
     return cert.to_dict()
 
 
@@ -238,7 +240,7 @@ def cmd_analyze(args) -> int:
     payload = report.to_dict()
     if meta.get("sign_scheme") is not None:
         payload["sign_scheme"] = meta["sign_scheme"]
-    certificate = _certificate_if_balanced(M, meta, args.log_base, args.pair_cap)
+    certificate = _certificate_if_balanced(M, meta, report, args.log_base)
     if certificate is not None:
         payload["strong_coherence_certificate"] = certificate
     if args.out:
@@ -284,7 +286,7 @@ def cmd_verify(args) -> int:
     elif args.check == "curves":
         if not args.field or args.r is None:
             raise SystemExit(_usage_error("--check curves needs --field and --r"))
-        census = ver.count_smooth_plane_curves(parse_descriptor(args.field), args.r)
+        census = cons.plane_curve_census(parse_descriptor(args.field), args.r)
         results.append(ver.OracleResult(
             "smooth_curve_tuples", f"q={census.q},r={census.r}",
             census.tuple_count,
@@ -311,11 +313,19 @@ def cmd_verify(args) -> int:
 # -- recover --------------------------------------------------------------------
 
 
+def _parse_int(text, what) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionError(f"{what} {text!r} is not an integer") from None
+
+
 def _parse_k_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(k) for k in text.split(",")]
+        return list(range(_parse_int(lo, "sparsity"),
+                          _parse_int(hi, "sparsity") + 1))
+    return [_parse_int(k, "sparsity") for k in text.split(",")]
 
 
 def cmd_recover(args) -> int:
@@ -369,8 +379,8 @@ def cmd_pipeline(args) -> int:
         payload = report.to_dict()
         if sidecar.get("sign_scheme") is not None:
             payload["sign_scheme"] = sidecar["sign_scheme"]
-        certificate = _certificate_if_balanced(Mc, sidecar, args.log_base,
-                                               args.pair_cap)
+        certificate = _certificate_if_balanced(Mc, sidecar, report,
+                                               args.log_base)
         if certificate is not None:
             payload["strong_coherence_certificate"] = certificate
         _dump_json(payload, report_path)

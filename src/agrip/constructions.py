@@ -1,16 +1,25 @@
 """Measurement-matrix families built from finite geometry.
 
+Every family is a space of functions evaluated at rational points: a basis
+table (table[t][b] = code of basis function t at point b) and one column per
+coefficient vector.  All of them compute their values through one engine,
+evaluate_coefficient_block, driven block by block by evaluation_blocks; all
+linear algebra over F_q (design ranks, nullspaces, the subfield inverse) goes
+through one batched RREF kernel, _rref.
+
 Families:
 
 * devore(field, r): rows (a, b) in F_q x F_q, columns the graph indicators of
-  all q^r polynomials of degree <= r-1.
+  all q^r polynomials of degree <= r-1; the projective-line design of
+  projective_space_design evaluated by evaluation_matrix.
 * construction_a_simple_poles / construction_a_single_point: function spaces
   on the projective line with pole bookkeeping rows, giving signed integer
   entries (-1 per simple pole, -deg(f) at a single point of order-t poles).
 * plane_curve_matrix(field, r): incidence of P^2(F_q) points with smooth
   degree-r plane curves, one column per scalar class of smooth forms.
 * fermat_hyperplane_matrix(field): incidence of the degree-(q+1) Fermat
-  surface's rational points in P^3(F_{q^2}) with all hyperplanes.
+  surface's rational points in P^3(F_{q^2}) with all hyperplanes (the
+  coefficient rows are the hyperplanes' linear forms).
 * evaluation_matrix(design): rows (a, b) in F_q x B, columns the graph
   indicators of every function in a T-dimensional evaluation design;
   projective_space_design / ruled_surface_design / toric_design produce the
@@ -46,12 +55,13 @@ from .errors import (
     PreconditionError,
     RankDeficient,
 )
-from .fields import FieldElement, FieldSpec, extension_with_embedding
+from .fields import FieldElement, FieldSpec, extension_with_embedding, make_field
 from .matrix import MeasurementMatrix
 
 BASIS_CAP = 24
 MATERIALIZE_CAP = 1 << 16
 STREAM_CAP = 1 << 24
+BLOCK_ENTRIES = 1 << 16  # values per evaluation block
 PLANE_ENUM_CAP = 2_000_000
 FERMAT_ORDER_CAP = 25  # cap on Q = q^2
 
@@ -64,7 +74,11 @@ def _point_code(field, x):
     if isinstance(x, str):
         if x == INFINITY:
             return INFINITY
-        return int(x)
+        try:
+            x = int(x)
+        except ValueError:
+            raise PreconditionError(
+                f"point {x!r} is neither a field code nor {INFINITY!r}") from None
     code = int(x)
     if not (0 <= code < field.q):
         raise PreconditionError(f"point code {code} outside F_{field.q}")
@@ -134,7 +148,7 @@ class EvaluationDesign:
         if not (0 <= self.bound_on_zeros < self.size):
             raise PreconditionError(
                 f"bound_on_zeros = {self.bound_on_zeros} must lie in [0, |B|)")
-        if _rank_over_field(self.field, self.table) != self.T:
+        if _rref(self.field, self.table)[1].sum() != self.T:
             raise RankDeficient("basis functions are linearly dependent on B")
 
     def descriptor(self) -> dict:
@@ -153,81 +167,98 @@ class EvaluationDesign:
                 f"|B|={self.size}, N={self.num_columns})")
 
 
-def _rank_over_field(field: FieldSpec, rows) -> int:
-    mat = [list(map(int, r)) for r in np.asarray(rows)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-        if piv is None:
+def _rref(field: FieldSpec, mats):
+    """Reduced row echelon form over field of a small matrix or a stack of them.
+
+    mats holds codes, shape (..., R, C).  Returns (reduced, pivots): reduced
+    has the same shape, pivots is a boolean (..., C) mask of the pivot
+    columns, and the i-th row of each reduced matrix carries its i-th pivot
+    (rows at and below the rank are zero).  The rank is pivots.sum(-1).
+    """
+    work = np.array(mats, dtype=np.int64)
+    shape = work.shape
+    R, C = shape[-2:]
+    work = work.reshape(math.prod(shape[:-2]), R, C)
+    rank = np.zeros(work.shape[0], dtype=np.int64)
+    pivots = np.zeros((work.shape[0], C), dtype=bool)
+    row_ids = np.arange(R)
+    for c in range(C):
+        avail = (work[:, :, c] != 0) & (row_ids[None, :] >= rank[:, None])
+        sel = np.flatnonzero(avail.any(axis=1))
+        if sel.size == 0:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][c])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [field.sub(x, field.mul(f, y))
-                          for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
+        src = np.argmax(avail[sel], axis=1)
+        dst = rank[sel]
+        row = work[sel, src]
+        work[sel, src] = work[sel, dst]
+        # x^(q-2) inverts the nonzero pivot
+        row = field.np_mul(field.np_pow(row[:, c], field.q - 2)[:, None], row)
+        factors = work[sel, :, c]
+        factors[np.arange(sel.size), dst] = 0
+        work[sel] = field.np_sub(work[sel], field.np_mul(factors[:, :, None],
+                                                         row[:, None, :]))
+        work[sel, dst] = row
+        pivots[sel, c] = True
+        rank[sel] += 1
+        if rank.min() == R:
             break
-    return rank
+    return work.reshape(shape), pivots.reshape(shape[:-2] + (C,))
 
 
-def evaluate_coefficient_block(design: EvaluationDesign,
+def evaluate_coefficient_block(field: FieldSpec, table: np.ndarray,
                                coeffs: np.ndarray) -> np.ndarray:
-    """Value codes of f = sum_t coeffs[:, t] f_t at every point: (k, |B|)."""
-    field = design.field
+    """Value codes of f = sum_t coeffs[:, t] f_t at every point: (k, |B|).
+
+    table[t][b] is the code of basis function f_t at point b.
+    """
     if field.s == 1:
-        return (coeffs.astype(np.int64) @ design.table) % field.p
-    vals = np.zeros((coeffs.shape[0], design.size), dtype=np.int64)
-    for t in range(design.T):
-        prod = field.np_mul(coeffs[:, t][:, None], design.table[t][None, :])
+        return (coeffs.astype(np.int64) @ table) % field.p
+    vals = np.zeros((coeffs.shape[0], table.shape[1]), dtype=np.int64)
+    for t in range(table.shape[0]):
+        prod = field.np_mul(coeffs[:, t][:, None], table[t][None, :])
         vals = field.np_add(vals, prod)
     return vals
 
 
+def evaluation_blocks(field: FieldSpec, table: np.ndarray, codes):
+    """Yield (coeffs, values) for successive blocks of column codes.
+
+    The coefficient vector of a column is the base-q digits of its code
+    (see coefficient_digits); values is evaluate_coefficient_block of the
+    block.  A block holds about BLOCK_ENTRIES values.
+    """
+    T, B = table.shape
+    step = max(1, BLOCK_ENTRIES // B)
+    for j0 in range(0, len(codes), step):
+        coeffs = coefficient_digits(field.q, codes[j0:j0 + step], T)
+        yield coeffs, evaluate_coefficient_block(field, table, coeffs)
+
+
 def evaluation_matrix(design: EvaluationDesign,
-                      materialize_cap: int = MATERIALIZE_CAP,
-                      chunk: int = 4096) -> MeasurementMatrix:
+                      materialize_cap: int = MATERIALIZE_CAP) -> MeasurementMatrix:
     """Binary matrix with rows (value, point) and one column per function."""
-    q = design.field.q
     N = design.num_columns
     if N > materialize_cap:
         raise ColumnCapExceeded(
             f"q^T = {N} exceeds the materialization cap {materialize_cap}")
-    B = design.size
-    point_base = np.arange(B, dtype=np.int64) * q
-    ones = np.ones(B, dtype=np.int64)
-    cols = []
-    for j0 in range(0, N, chunk):
-        js = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
-        digits = coefficient_digits(q, js, design.T)
-        vals = evaluate_coefficient_block(design, digits)
-        for row_vals in vals:
-            cols.append((point_base + row_vals, ones))
+    cols = iter_evaluation_columns(design, materialize_cap)
     meta = {"family": design.family, "params": design.params,
             "field": design.field.descriptor, "sign_scheme": {"kind": "all_ones"},
-            "column_support": B, "bound_on_zeros": design.bound_on_zeros}
-    return MeasurementMatrix(q * B, N, cols, meta=meta, validate=False)
+            "column_support": design.size, "bound_on_zeros": design.bound_on_zeros}
+    return MeasurementMatrix(design.field.q * design.size, N, cols, meta=meta,
+                             validate=False)
 
 
 def iter_evaluation_columns(design: EvaluationDesign,
-                            stream_cap: int = STREAM_CAP, chunk: int = 4096):
+                            stream_cap: int = STREAM_CAP):
     """Yield (rows, values) per column without materializing the matrix."""
     q = design.field.q
     N = design.num_columns
     if N > stream_cap:
         raise ColumnCapExceeded(f"q^T = {N} exceeds the streaming cap {stream_cap}")
-    B = design.size
-    point_base = np.arange(B, dtype=np.int64) * q
-    ones = np.ones(B, dtype=np.int64)
-    for j0 in range(0, N, chunk):
-        js = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
-        vals = evaluate_coefficient_block(design, coefficient_digits(q, js, design.T))
+    point_base = np.arange(design.size, dtype=np.int64) * q
+    ones = np.ones(design.size, dtype=np.int64)
+    for _, vals in evaluation_blocks(design.field, design.table, range(N)):
         for row_vals in vals:
             yield point_base + row_vals, ones
 
@@ -242,7 +273,8 @@ def devore(field: FieldSpec, r: int,
     """q^2 x q^r graph-indicator matrix of polynomials of degree <= r-1.
 
     Entry 1 at row (a, b) iff f(a) = b; row index = code(a) * q + code(b).
-    Each column has exactly q ones.
+    Each column has exactly q ones.  This is evaluation_matrix of the
+    projective line's degree-(r-1) design, labelled as the devore family.
     """
     q = field.q
     if not (2 <= r <= q):
@@ -250,30 +282,8 @@ def devore(field: FieldSpec, r: int,
     N = q ** r
     if N > materialize_cap:
         raise ColumnCapExceeded(f"q^r = {N} exceeds the cap {materialize_cap}")
-    # powers[i, a] = a^i; distinct evaluation points make the coefficient-to-
-    # values map injective for r <= q, so rank deficiency cannot occur here
-    codes = np.arange(q, dtype=np.int64)
-    powers = np.stack([field.np_pow(codes, i) for i in range(r)])
-    point_base = codes * q
-    ones = np.ones(q, dtype=np.int64)
-    cols = []
-    chunk = 4096
-    for j0 in range(0, N, chunk):
-        js = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
-        digits = coefficient_digits(q, js, r)
-        if field.s == 1:
-            vals = (digits @ powers) % field.p
-        else:
-            vals = np.zeros((digits.shape[0], q), dtype=np.int64)
-            for t in range(r):
-                vals = field.np_add(
-                    vals, field.np_mul(digits[:, t][:, None], powers[t][None, :]))
-        for row_vals in vals:
-            cols.append((point_base + row_vals, ones))
-    meta = {"family": "devore", "params": {"r": r},
-            "field": field.descriptor, "sign_scheme": {"kind": "all_ones"},
-            "column_support": q, "bound_on_zeros": r - 1}
-    return MeasurementMatrix(q * q, N, cols, meta=meta, validate=False)
+    return evaluation_matrix(build_design("devore", field, {"r": r}),
+                             materialize_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +291,33 @@ def devore(field: FieldSpec, r: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolePattern:
-    """Distinguished pole points and their mode for Construction A."""
+def _pole_slot_matrix(field: FieldSpec, table: np.ndarray, num_poles: int,
+                      pole_entries, meta: dict) -> MeasurementMatrix:
+    """Construction-A matrix: pole @-slot rows, then value rows per point.
 
-    pole_points: tuple
-    mode: str                 # "simple_poles" | "single_point_order_t"
-    t: int                    # total pole degree
-
-    def validate_against(self, eval_points):
-        overlap = set(self.pole_points) & set(eval_points)
-        if overlap:
-            raise PoleEvalOverlap(f"points {sorted(map(str, overlap))} are "
-                                  "both poles and evaluation points")
+    Every point owns a block of q + 1 rows: q value rows and the @ slot.
+    The first num_poles blocks are the pole points; pole_entries(coeffs)
+    gives their @-slot entries, (k, num_poles) with 0 for no entry.  The
+    remaining blocks are the evaluation points of table, entry +1 at the
+    function's value.
+    """
+    q = field.q
+    T, E = table.shape
+    N = q ** T
+    pole_rows = np.arange(num_poles, dtype=np.int64) * (q + 1) + q
+    value_base = (num_poles + np.arange(E, dtype=np.int64)) * (q + 1)
+    cols = []
+    for coeffs, vals in evaluation_blocks(field, table, range(N)):
+        k = coeffs.shape[0]
+        rows = np.hstack([np.broadcast_to(pole_rows, (k, num_poles)),
+                          value_base + vals])
+        entries = np.hstack([pole_entries(coeffs),
+                             np.ones((k, E), dtype=np.int64)])
+        keep = entries != 0
+        ends = np.cumsum(keep.sum(axis=1))[:-1]
+        cols.extend(zip(np.split(rows[keep], ends),
+                        np.split(entries[keep], ends)))
+    return MeasurementMatrix((q + 1) * (num_poles + E), N, cols, meta=meta)
 
 
 def construction_a_simple_poles(field: FieldSpec, poles, eval_points,
@@ -310,7 +334,10 @@ def construction_a_simple_poles(field: FieldSpec, poles, eval_points,
     evals = [_point_code(field, b) for b in eval_points]
     if len(set(poles)) != len(poles) or len(set(evals)) != len(evals):
         raise PoleEvalOverlap("repeated points")
-    PolePattern(tuple(poles), "simple_poles", len(poles)).validate_against(evals)
+    overlap = set(poles) & set(evals)
+    if overlap:
+        raise PoleEvalOverlap(f"points {sorted(map(str, overlap))} are "
+                              "both poles and evaluation points")
     t = len(poles)
     if t < 1:
         raise PreconditionError("need at least one pole point")
@@ -318,48 +345,30 @@ def construction_a_simple_poles(field: FieldSpec, poles, eval_points,
         raise PreconditionError("need at least one evaluation point")
     if t + 1 > q:
         raise PreconditionError(f"need t + 1 <= q, got t={t}, q={q}")
-    T = t + 1
-    N = q ** T
+    N = q ** (t + 1)
     if N > materialize_cap:
         raise ColumnCapExceeded(f"q^(t+1) = {N} exceeds the cap {materialize_cap}")
 
     # basis value table on evaluation points; basis[0] is the constant 1;
     # the disjointness check above guarantees no basis function is evaluated
     # at its own pole
-    basis_rows = [[1] * len(evals)]
+    table = [[1] * len(evals)]
     for g in poles:
         if g == INFINITY:
-            basis_rows.append(list(evals))  # the function x
+            table.append(list(evals))  # the function x
         else:
-            basis_rows.append([0 if b == INFINITY
-                               else field.inv(field.sub(b, g)) for b in evals])
-
-    points = list(poles) + list(evals)
-    n = (q + 1) * len(points)
-    at_row = q  # index of the @ slot inside each point block
-    cols = []
-    for j in range(N):
-        digits = [(j // q ** i) % q for i in range(T)]
-        rows, vals = [], []
-        for pos, g in enumerate(poles):
-            if digits[1 + pos]:
-                rows.append(pos * (q + 1) + at_row)
-                vals.append(-1)
-        for pos, b in enumerate(evals):
-            acc = digits[0]
-            for i in range(1, T):
-                if digits[i]:
-                    acc = field.add(acc, field.mul(digits[i], basis_rows[i][pos]))
-            rows.append((t + pos) * (q + 1) + acc)
-            vals.append(1)
-        cols.append((np.array(rows), np.array(vals)))
+            table.append([0 if b == INFINITY
+                          else field.inv(field.sub(b, g)) for b in evals])
     meta = {"family": "consta-poles",
             "params": {"poles": [str(g) for g in poles],
                        "points": [str(b) for b in evals]},
             "field": field.descriptor, "sign_scheme": {"kind": "all_ones"},
             "column_support": None,
             "coherence_bound": [2 * t, t + len(evals)]}
-    return MeasurementMatrix(n, N, cols, meta=meta)
+    # -1 in the @ slot of every pole the function actually has
+    return _pole_slot_matrix(field, np.array(table, dtype=np.int64), t,
+                             lambda coeffs: -(coeffs[:, 1:] != 0).astype(np.int64),
+                             meta)
 
 
 def construction_a_single_point(field: FieldSpec, t: int, eval_points,
@@ -378,36 +387,24 @@ def construction_a_single_point(field: FieldSpec, t: int, eval_points,
         raise PoleEvalOverlap("repeated evaluation points")
     if INFINITY in evals:
         raise PoleEvalOverlap("infinity is the pole point")
-    PolePattern((INFINITY,), "single_point_order_t", t).validate_against(evals)
     if not evals:
         raise PreconditionError("need at least one evaluation point")
-    T = t + 1
-    N = q ** T
+    N = q ** (t + 1)
     if N > materialize_cap:
         raise ColumnCapExceeded(f"q^(t+1) = {N} exceeds the cap {materialize_cap}")
-    n = (q + 1) * (1 + len(evals))
-    at_row = q
-    cols = []
-    for j in range(N):
-        digits = [(j // q ** i) % q for i in range(T)]
-        deg = max((i for i in range(T) if digits[i]), default=0)
-        rows, vals = [], []
-        if deg >= 1:
-            rows.append(at_row)
-            vals.append(-deg)
-        for pos, b in enumerate(evals):
-            acc = 0
-            for i in reversed(range(T)):
-                acc = field.add(field.mul(acc, b), digits[i])
-            rows.append((1 + pos) * (q + 1) + acc)
-            vals.append(1)
-        cols.append((np.array(rows), np.array(vals)))
+    points = np.array(evals, dtype=np.int64)
+    table = np.stack([field.np_pow(points, i) for i in range(t + 1)])
     meta = {"family": "consta-point",
             "params": {"t": t, "points": [str(b) for b in evals]},
             "field": field.descriptor, "sign_scheme": {"kind": "all_ones"},
             "column_support": None,
             "coherence_bound": [t + t * t, len(evals) + t * t]}
-    return MeasurementMatrix(n, N, cols, meta=meta)
+    # -deg(f) in the @ slot; the degree is the highest nonzero coefficient
+    degree = np.arange(t + 1, dtype=np.int64)
+    return _pole_slot_matrix(
+        field, table, 1,
+        lambda coeffs: -((coeffs != 0) * degree).max(axis=1, keepdims=True),
+        meta)
 
 
 # ---------------------------------------------------------------------------
@@ -438,77 +435,32 @@ def _monomial_name(exps, names=("x", "y", "z")):
     return "*".join(parts) if parts else "1"
 
 
-def _batched_rank_modp(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of small matrices over F_p; mats is (B, R, C)."""
-    B, R, C = mats.shape
-    work = (mats % p).astype(np.int32)
-    inv = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int32)
-    pivot = np.zeros(B, dtype=np.int64)
-    row_ids = np.arange(R)
-    for c in range(C):
-        col = work[:, :, c]
-        avail = (col != 0) & (row_ids[None, :] >= pivot[:, None])
-        has = avail.any(axis=1)
-        if not has.any():
-            continue
-        sel = np.nonzero(has)[0]
-        pr = np.argmax(avail[sel], axis=1)
-        cur = pivot[sel]
-        tmp = work[sel, cur, :].copy()
-        work[sel, cur, :] = work[sel, pr, :]
-        work[sel, pr, :] = tmp
-        f = inv[work[sel, cur, c]]
-        work[sel, cur, :] = (work[sel, cur, :] * f[:, None]) % p
-        colv = work[sel, :, c].copy()
-        colv[np.arange(sel.size), cur] = 0
-        work[sel] = (work[sel] - colv[:, :, None] * work[sel, cur, :][:, None, :]) % p
-        pivot[sel] += 1
-    return pivot
+def _mark_singular_points(mask: np.ndarray, field: FieldSpec, rows):
+    """Mark every form singular at one of the points in the code mask.
 
-
-def _nullspace_modp(mat: np.ndarray, p: int):
-    """RREF nullspace basis over F_p for one small integer matrix."""
-    work = [list(int(x) % p for x in row) for row in mat]
-    ncols = len(work[0])
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][c], p - 2, p)
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][c]:
-                f = work[r][c]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == len(work):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-work[r][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def _mark_span_modq(mask: np.ndarray, basis, q: int):
-    """Mark every F_q-combination of the basis vectors in the code mask."""
-    if not basis:
-        mask[0] = True
-        return
-    d = len(basis)
-    m = len(basis[0])
-    lam = coefficient_digits(q, np.arange(q ** d, dtype=np.int64), d)
-    vecs = (lam @ np.asarray(basis, dtype=np.int64)) % q
-    weights = q ** np.arange(m, dtype=np.int64)
-    mask[vecs @ weights] = True
+    rows[i] holds point i's linear conditions over F_q on the m coefficients
+    of a form (its value and three partials there).  The forms singular at
+    the point are the nullspace: from the RREF, one basis vector per free
+    column.  Every combination is evaluated through evaluation_blocks with
+    the basis as the table; its code is its base-q number.  Points are
+    reduced in blocks of about BLOCK_ENTRIES codes.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    m = rows.shape[-1]
+    weights = field.q ** np.arange(m, dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // rows[0].size)
+    for i0 in range(0, len(rows), step):
+        reduced, pivots = _rref(field, rows[i0:i0 + step])
+        for red, piv in zip(reduced, pivots):
+            if piv.all():
+                continue
+            free = np.flatnonzero(~piv)
+            basis = np.zeros((free.size, m), dtype=np.int64)
+            basis[np.arange(free.size), free] = 1
+            basis[:, piv] = field.np_neg(red[:m - free.size, free].T)
+            for _, vecs in evaluation_blocks(field, basis,
+                                             range(field.q ** free.size)):
+                mask[vecs @ weights] = True
 
 
 def _mark_singular_prime(field, r, k, mask):
@@ -536,10 +488,7 @@ def _mark_singular_prime(field, r, k, mask):
                 cond[:, 1 + axis, t] = E.np_mul(np.int64(ce), v)
     digs = E.np_digits()[cond]                       # (npts, 4, m, k)
     rows = digs.transpose(0, 1, 3, 2).reshape(npts, 4 * k, m)
-    ranks = _batched_rank_modp(rows, p)
-    for idx in np.nonzero(ranks < m)[0]:
-        basis = _nullspace_modp(rows[idx], p)
-        _mark_span_modq(mask, basis, p)
+    _mark_singular_points(mask, field, rows)
 
 
 def _subfield_coordinate_map(field, ext, emb, k):
@@ -558,22 +507,12 @@ def _subfield_coordinate_map(field, ext, emb, k):
             e = ext.mul(emb[p ** a], w_pows[j])  # image of x^a times w^j
             cols.append(ext.decode(e))
     A = np.array(cols, dtype=np.int64).T % p  # (n, n): digits are rows
-    # invert A mod p
-    aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1).tolist()
-    rank = 0
-    for c in range(n):
-        piv = next((r for r in range(rank, n) if aug[r][c] % p), None)
-        if piv is None:
-            raise AssertionError("subfield basis is degenerate")
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][c] % p, p - 2, p)
-        aug[rank] = [(x * inv) % p for x in aug[rank]]
-        for r2 in range(n):
-            if r2 != rank and aug[r2][c] % p:
-                f = aug[r2][c] % p
-                aug[r2] = [(x - f * y) % p for x, y in zip(aug[r2], aug[rank])]
-        rank += 1
-    Ainv = np.array([row[n:] for row in aug], dtype=np.int64) % p
+    # invert A over F_p: the RREF of [A | I] is [I | A^-1]
+    reduced, pivots = _rref(make_field(p),
+                            np.hstack([A, np.eye(n, dtype=np.int64)]))
+    if not pivots[:n].all():
+        raise AssertionError("subfield basis is degenerate")
+    Ainv = reduced[:, n:]
 
     def coords(code):
         digits = np.array(ext.decode(code), dtype=np.int64)
@@ -586,11 +525,11 @@ def _subfield_coordinate_map(field, ext, emb, k):
 
 def _mark_singular_generic(field, r, k, mask):
     """Per-point singular-locus marking valid for any base field."""
-    q = field.q
     E, emb = extension_with_embedding(field, k)
     coords = (None if k == 1 else _subfield_coordinate_map(field, E, emb, k))
     monos = _plane_monomials(r)
     m = len(monos)
+    stack = []
     for pt in _p2_points(E):
         raw = []
         for which in range(4):
@@ -620,57 +559,8 @@ def _mark_singular_generic(field, r, k, mask):
                 comp = [coords(v) for v in row]
                 for j in range(k):
                     rows.append([comp[t][j] for t in range(m)])
-        basis = _nullspace_over_field(field, rows)
-        if basis:
-            _mark_span_field(mask, basis, field)
-
-
-def _nullspace_over_field(field, rows):
-    mat = [list(map(int, r)) for r in rows]
-    ncols = len(mat[0])
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][c])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [field.sub(x, field.mul(f, y))
-                          for x, y in zip(mat[r], mat[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(mat[r][fc])
-        basis.append(vec)
-    return basis
-
-
-def _mark_span_field(mask, basis, field):
-    q = field.q
-    d = len(basis)
-    m = len(basis[0])
-    combo = np.zeros((1, m), dtype=np.int64)
-    for vec in basis:
-        vec = np.asarray(vec, dtype=np.int64)
-        pieces = []
-        for lam in range(q):
-            scaled = field.np_mul(np.full(m, lam, dtype=np.int64), vec)
-            pieces.append(field.np_add(combo, scaled[None, :]))
-        combo = np.concatenate(pieces, axis=0)
-    weights = q ** np.arange(m, dtype=np.int64)
-    mask[combo @ weights] = True
+        stack.append(rows)
+    _mark_singular_points(mask, field, stack)
 
 
 def plane_singular_mask(field: FieldSpec, r: int, extension_depth: int = 3,
@@ -778,6 +668,16 @@ def plane_curve_census(field: FieldSpec, r: int, extension_depth: int = 3,
                             bound_vacuous=lower <= 0)
 
 
+def _zero_set_columns(field: FieldSpec, table: np.ndarray, codes) -> list:
+    """Incidence columns: the points of table where each function vanishes."""
+    cols = []
+    for _, vals in evaluation_blocks(field, table, codes):
+        for row_vals in vals:
+            rows = np.flatnonzero(row_vals == 0)
+            cols.append((rows, np.ones(rows.size, dtype=np.int64)))
+    return cols
+
+
 def plane_curve_matrix(field: FieldSpec, r: int, extension_depth: int = 3,
                        enum_cap: int = PLANE_ENUM_CAP) -> MeasurementMatrix:
     """Incidence of P^2(F_q) points with smooth degree-r curves.
@@ -793,26 +693,12 @@ def plane_curve_matrix(field: FieldSpec, r: int, extension_depth: int = 3,
     reps = np.nonzero(_scalar_class_rep_mask(q, m) & ~mask)[0]
     pts = _p2_points(field)
     X = np.array(pts, dtype=np.int64)
-    V = np.empty((len(pts), m), dtype=np.int64)
-    for t, (i, j, l) in enumerate(monos):
-        V[:, t] = field.np_mul(
-            field.np_mul(field.np_pow(X[:, 0], i), field.np_pow(X[:, 1], j)),
-            field.np_pow(X[:, 2], l))
-    cols = []
-    chunk = 4096
-    for j0 in range(0, reps.size, chunk):
-        batch = reps[j0:j0 + chunk]
-        digits = coefficient_digits(q, batch, m)
-        if field.s == 1:
-            vals = (digits @ V.T) % field.p
-        else:
-            vals = np.zeros((digits.shape[0], len(pts)), dtype=np.int64)
-            for t in range(m):
-                vals = field.np_add(
-                    vals, field.np_mul(digits[:, t][:, None], V[:, t][None, :]))
-        for row_vals in vals:
-            rows = np.nonzero(row_vals == 0)[0]
-            cols.append((rows, np.ones(rows.size, dtype=np.int64)))
+    table = np.stack([
+        field.np_mul(field.np_mul(field.np_pow(X[:, 0], i),
+                                  field.np_pow(X[:, 1], j)),
+                     field.np_pow(X[:, 2], l))
+        for i, j, l in monos])
+    cols = _zero_set_columns(field, table, reps)
     meta = {"family": "planecurve", "params": {"r": r},
             "field": field.descriptor, "sign_scheme": {"kind": "all_ones"},
             "column_support": None,
@@ -864,21 +750,17 @@ def fermat_hyperplane_matrix(field: FieldSpec,
             f"field order {field.q} exceeds the Fermat cap {order_cap}")
     q = field.p ** (field.s // 2)
     surface = fermat_surface_points(field)
-    X = np.array(surface, dtype=np.int64)
-    hyperplanes = _p3_points(field)
-    cols = []
-    for h in hyperplanes:
-        dot = np.zeros(X.shape[0], dtype=np.int64)
-        for i in range(4):
-            if h[i]:
-                dot = field.np_add(dot, field.np_mul(np.int64(h[i]), X[:, i]))
-        rows = np.nonzero(dot == 0)[0]
-        cols.append((rows, np.ones(rows.size, dtype=np.int64)))
+    hyperplanes = np.array(_p3_points(field), dtype=np.int64)
+    # a hyperplane's coordinates are the coefficients of its linear form, so
+    # its code is their base-Q number
+    codes = hyperplanes @ (field.q ** np.arange(4, dtype=np.int64))
+    table = np.array(surface, dtype=np.int64).T
+    cols = _zero_set_columns(field, table, codes)
     meta = {"family": "fermat", "params": {"q": q},
             "field": field.descriptor, "sign_scheme": {"kind": "all_ones"},
             "column_support": None,
             "surface_points": len(surface)}
-    return MeasurementMatrix(len(surface), len(hyperplanes), cols, meta=meta)
+    return MeasurementMatrix(len(surface), hyperplanes.shape[0], cols, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,5 +908,8 @@ def build_design(family: str, field: FieldSpec, params: dict) -> EvaluationDesig
                             None if e is None else int(e),
                             None if r is None else int(r))
     if family == "devore":
-        return projective_space_design(field, 1, int(params["r"]) - 1)
+        r = int(params["r"])
+        design = projective_space_design(field, 1, r - 1)
+        design.family, design.params = "devore", {"r": r}
+        return design
     raise PreconditionError(f"no evaluation design for family {family!r}")

@@ -564,16 +564,19 @@ def enumerate_elements(field: FieldSpec) -> list[FieldElement]:
 
 def parse_descriptor(text: str) -> FieldSpec:
     """Parse "p", "p^s", or "p^s/c0,c1,...,cs" into a field."""
-    text = text.strip()
+    spec = text.strip()
     modulus = None
-    if "/" in text:
-        text, mod_text = text.split("/", 1)
-        modulus = [int(c) for c in mod_text.split(",")]
-    if "^" in text:
-        p_text, s_text = text.split("^", 1)
-        p, s = int(p_text), int(s_text)
-    else:
-        p, s = int(text), 1
+    try:
+        if "/" in spec:
+            spec, mod_text = spec.split("/", 1)
+            modulus = [int(c) for c in mod_text.split(",")]
+        if "^" in spec:
+            p_text, s_text = spec.split("^", 1)
+            p, s = int(p_text), int(s_text)
+        else:
+            p, s = int(spec), 1
+    except ValueError:
+        raise PreconditionError(f"malformed field descriptor {text!r}") from None
     return make_field(p, s, modulus)
 
 

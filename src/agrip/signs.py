@@ -33,12 +33,9 @@ from .errors import (
     PreconditionError,
 )
 from .exact import leq_reciprocal_log
-from .constructions import (
-    EvaluationDesign,
-    coefficient_digits,
-    evaluate_coefficient_block,
-)
+from .constructions import EvaluationDesign, evaluation_blocks
 from .matrix import (
+    DEFAULT_PAIR_CAP,
     MeasurementMatrix,
     StrongCoherenceVerdict,
     average_coherence,
@@ -54,7 +51,6 @@ class SignScheme:
     kind: str
     seed: int | None = None
     red: np.ndarray | None = None          # balanced: True where the point is red
-    basis_pivot: np.ndarray | None = None  # balanced, p = 2: pivot index per point
 
     def describe(self) -> dict:
         out = {"kind": self.kind}
@@ -142,8 +138,7 @@ def _basis_pivots(design: EvaluationDesign) -> np.ndarray:
 
 
 def balanced_matrix(design: EvaluationDesign,
-                    scheme: SignScheme | None = None,
-                    chunk: int = 4096) -> MeasurementMatrix:
+                    scheme: SignScheme | None = None) -> MeasurementMatrix:
     """The balanced-sign version of evaluation_matrix(design)."""
     field = design.field
     q = field.q
@@ -157,15 +152,10 @@ def balanced_matrix(design: EvaluationDesign,
     N = design.num_columns
     B = design.size
     pivot = _basis_pivots(design) if field.p == 2 else None
-    if scheme.basis_pivot is None and pivot is not None:
-        scheme.basis_pivot = pivot
     lam = red.astype(np.int64)  # 1 on red, 0 on blue
     point_base = np.arange(B, dtype=np.int64) * q
     cols = []
-    for j0 in range(0, N, chunk):
-        js = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
-        digits = coefficient_digits(q, js, design.T)
-        vals = evaluate_coefficient_block(design, digits)
+    for digits, vals in evaluation_blocks(field, design.table, range(N)):
         parities = _column_parities(design, digits, pivot)
         signs = 1 - 2 * ((lam[None, :] + parities) % 2)
         for row_vals, sgn in zip(vals, signs):
@@ -213,16 +203,22 @@ class BalancedCertificate:
 
 def certify_strong_coherence(M: MeasurementMatrix, design: EvaluationDesign,
                              log_base: str = "natural",
-                             pair_cap: int = 200_000) -> BalancedCertificate:
-    """Evaluate the balanced-scheme certification conditions and the truth."""
+                             pair_cap: int = DEFAULT_PAIR_CAP,
+                             _mu=None, _omega=None) -> BalancedCertificate:
+    """Evaluate the balanced-scheme certification conditions and the truth.
+
+    _mu and _omega (signed) may carry values already computed for M, as in
+    strong_coherence_check; the Gram scans then are not repeated.
+    """
     field = design.field
     B = design.size
     # a) N(D) > sqrt(|B|)/(p sqrt(q)), exactly: N(D)^2 p^2 q > |B|
     cond_a = design.bound_on_zeros ** 2 * field.p ** 2 * field.q > B
     # b) T <= |B| / (160 log q)
     cond_b = leq_reciprocal_log(Fraction(design.T, B), field.q, 160, log_base)
-    mu = coherence(M, pair_cap=pair_cap)
-    omega = average_coherence(M, "signed", pair_cap=pair_cap)
+    mu = coherence(M, pair_cap=pair_cap) if _mu is None else _mu
+    omega = (average_coherence(M, "signed", pair_cap=pair_cap)
+             if _omega is None else _omega)
     verdict = strong_coherence_check(M, log_base, "signed",
                                      pair_cap=pair_cap, _mu=mu, _omega=omega)
     return BalancedCertificate(condition_a=bool(cond_a), condition_b=bool(cond_b),

@@ -5,9 +5,9 @@ second, dumber route: pairwise coherence by explicit sparse merges, coherence
 of evaluation matrices by the difference trick (inner products of columns
 count zeros of differences, which range over the function space itself, so
 the scan is over (q^T - 1)/(q - 1) scalar classes instead of N^2 pairs),
-restricted-isometry constants by exhausting k-column submatrices, plane-curve
-counts by exhaustive smoothness testing, and the surface section counts by
-scanning every hypersurface.
+restricted-isometry constants by exhausting k-column submatrices, and the
+surface section counts by scanning every hypersurface.  The exhaustive
+plane-curve census is constructions.plane_curve_census.
 
 Oracle caps are hard limits with explicit errors, never silent truncation.
 """
@@ -26,8 +26,6 @@ from .constructions import (
     coefficient_digits,
     evaluate_coefficient_block,
     fermat_surface_points,
-    plane_curve_census,
-    PlaneCurveCensus,
     _p3_points,
 )
 from .errors import (
@@ -138,7 +136,8 @@ def coherence_via_differences(design: EvaluationDesign,
             if free:
                 coeffs[:, lead + 1:] = coefficient_digits(
                     q, np.arange(f0, f0 + count, dtype=np.int64), free)
-            vals = evaluate_coefficient_block(design, coeffs)
+            vals = evaluate_coefficient_block(design.field, design.table,
+                                              coeffs)
             zeros = (vals == 0).sum(axis=1)
             m = int(zeros.max())
             if m > best:
@@ -176,12 +175,6 @@ def brute_force_rip_delta(M: MeasurementMatrix, k: int,
         eig = np.linalg.eigvalsh(gram)
         delta = max(delta, float(np.abs(eig - 1.0).max()))
     return delta
-
-
-def count_smooth_plane_curves(field: FieldSpec, r: int,
-                              extension_depth: int = 3) -> PlaneCurveCensus:
-    """Exhaustive smooth-curve counts; see plane_curve_census."""
-    return plane_curve_census(field, r, extension_depth)
 
 
 @dataclass

@@ -220,3 +220,50 @@ def test_pipeline_balanced_devore_reproduces_certification_facts(tmp_path):
     assert cert["condition_a"] is True
     assert cert["sufficient_ok"] is False  # condition b fails at q = 5
     assert cert["ground_truth"]["cond1"] is False
+
+
+def test_point_outside_the_field_exits_2(tmp_path, capsys):
+    # every CLI point arrives as a string; each must be range-checked
+    for field, poles, points in [("5", "0,1", "2,3,9"), ("2^3", "0,1", "2,3,11"),
+                                 ("5", "0,1", "2,x"), ("5", "0,-1", "2,3")]:
+        out = tmp_path / "a.agrip"
+        assert run_cli("construct", "--family", "consta-poles", "--field", field,
+                       "--poles", poles, "--points", points,
+                       "--out", str(out)) == 2
+        assert not out.exists()
+    assert run_cli("construct", "--family", "consta-point", "--field", "5",
+                   "--t", "2", "--points", "0,5", "--out", str(out)) == 2
+    assert "agrip: error: point" in capsys.readouterr().err
+
+
+def test_malformed_field_and_numbers_exit_2(tmp_path, capsys):
+    for field in ("5^x", "x", "2^2/1,y,1"):
+        assert run_cli("construct", "--family", "devore", "--field", field,
+                       "--r", "2", "--out", str(tmp_path / "d.agrip")) == 2
+    assert "malformed field descriptor" in capsys.readouterr().err
+    out = tmp_path / "d.agrip"
+    run_cli("construct", "--family", "devore", "--field", "3", "--r", "2",
+            "--out", str(out))
+    assert run_cli("recover", "--matrix", str(out), "--k", "1..x",
+                   "--trials", "2", "--out", str(tmp_path / "r.json")) == 2
+    assert run_cli("pipeline", "--family", "devore", "--field", "3", "--r", "2",
+                   "--sign-scheme", "random:x",
+                   "--out-dir", str(tmp_path / "p")) == 2
+
+
+def test_balanced_certificate_reuses_report_numbers(tmp_path, monkeypatch):
+    import agrip.signs
+
+    def no_rescan(*args, **kwargs):
+        raise AssertionError("the certificate scanned the Gram again")
+
+    monkeypatch.setattr(agrip.signs, "coherence", no_rescan)
+    monkeypatch.setattr(agrip.signs, "average_coherence", no_rescan)
+    outdir = tmp_path / "bal"
+    assert run_cli("pipeline", "--family", "devore", "--field", "5", "--r", "2",
+                   "--sign-scheme", "balanced", "--analyze",
+                   "--out-dir", str(outdir)) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    cert = report["strong_coherence_certificate"]
+    assert cert["mu"] == report["mu"]
+    assert cert["omega_signed"] == report["omega_signed"]

@@ -9,10 +9,12 @@ from agrip.errors import (
     EnumerationCapExceeded,
     PoleEvalOverlap,
     PreconditionError,
+    RankDeficient,
 )
 from agrip.fields import make_field
 from agrip.constructions import (
     INFINITY,
+    EvaluationDesign,
     conic_symmetric_singular_mask,
     construction_a_simple_poles,
     construction_a_single_point,
@@ -29,6 +31,7 @@ from agrip.constructions import (
     toric_design,
     _p2_points,
     _plane_monomials,
+    _rref,
 )
 from agrip.matrix import coherence, welch_bound_squared
 
@@ -403,6 +406,54 @@ def test_toric_preconditions():
         toric_design(make_field(5), 3, 2)  # 2d >= q - 1
     with pytest.raises(PreconditionError):
         toric_design(make_field(5), 2, 1, 3, 1)  # e + rd >= q - 1
+
+
+def _reference_rref(field, rows):
+    # scalar Gauss-Jordan with field methods, one matrix at a time
+    work = [list(map(int, r)) for r in rows]
+    pivots = []
+    for c in range(len(work[0])):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(work)) if work[r][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = field.inv(work[rank][c])
+        work[rank] = [field.mul(inv, x) for x in work[rank]]
+        for r in range(len(work)):
+            f = work[r][c]
+            if r != rank and f:
+                work[r] = [field.sub(x, field.mul(f, y))
+                           for x, y in zip(work[r], work[rank])]
+        pivots.append(c)
+    return work, pivots
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
+def test_rref_stack_matches_scalar_reference(p, s):
+    field = make_field(p, s)
+    rng = np.random.default_rng(p * 10 + s)
+    # low-rank and sparse stacks exercise skipped columns and zero rows
+    mats = rng.integers(0, field.q, size=(40, 5, 6))
+    mats[:20] *= rng.random((20, 5, 6)) < 0.3
+    mats[20:30, 3:] = mats[20:30, :2]
+    reduced, pivots = _rref(field, mats)
+    for mat, red, piv in zip(mats, reduced, pivots):
+        ref, ref_pivots = _reference_rref(field, mat)
+        assert np.array_equal(red, np.array(ref))
+        assert np.flatnonzero(piv).tolist() == ref_pivots
+    single, single_pivots = _rref(field, mats[0])
+    assert np.array_equal(single, reduced[0])
+    assert np.array_equal(single_pivots, pivots[0])
+
+
+def test_design_rank_check_rejects_dependent_basis():
+    for field in (make_field(5), make_field(2, 2)):
+        table = [[1, 1, 1], [0, 1, 2], [1, 2, 3]]  # row 2 = row 0 + row 1
+        table[2] = field.np_add(table[0], table[1]).tolist()
+        with pytest.raises(RankDeficient):
+            EvaluationDesign(field, [(0,), (1,), (2,)], ["a", "b", "c"],
+                             table, 1)
 
 
 def test_evaluation_matrix_zero_column():

@@ -161,6 +161,24 @@ def test_balanced_p2_pivot_rule():
     assert coherence(Mb) <= mu_unsigned
 
 
+def test_balanced_matrix_leaves_the_scheme_unchanged():
+    # p = 2 derives per-point pivots; they must not be written into the
+    # caller's scheme
+    design = ruled_surface_design(make_field(2, 2), 1, 1)
+    scheme = balanced_coloring(design.points)
+    before = {k: (v.copy() if isinstance(v, np.ndarray) else v)
+              for k, v in vars(scheme).items()}
+    Mb = balanced_matrix(design, scheme)
+    assert Mb == balanced_matrix(design)
+    after = vars(scheme)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(after[key], value)
+        else:
+            assert after[key] is value
+
+
 def test_parity_pairing_flips_parity_for_odd_p():
     for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
         for x in range(1, p):

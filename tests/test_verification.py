@@ -15,6 +15,7 @@ from agrip.constructions import (
     construction_a_simple_poles,
     devore,
     evaluation_matrix,
+    plane_curve_census,
     projective_space_design,
     ruled_surface_design,
     toric_design,
@@ -25,7 +26,6 @@ from agrip.verification import (
     brute_force_coherence,
     brute_force_rip_delta,
     coherence_via_differences,
-    count_smooth_plane_curves,
     fermat_section_counts,
 )
 from tests.test_matrix import dense_to_matrix, identity_matrix
@@ -122,7 +122,7 @@ def test_rip_caps():
 
 
 def test_count_smooth_curves_f3():
-    census = count_smooth_plane_curves(make_field(3), 2)
+    census = plane_curve_census(make_field(3), 2)
     assert census.tuple_count >= 108
     assert census.tuple_count == 468
 

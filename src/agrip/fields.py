@@ -34,7 +34,6 @@ from .errors import (
 
 FIELD_ORDER_CAP = 1 << 20
 _LOG_TABLE_CAP = 1 << 16
-_NP_TABLE_CAP = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -440,6 +439,9 @@ class FieldSpec:
     def np_add(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
+        if self.p == 2:
+            # codes are base-2 digit vectors, added digit-wise mod 2
+            return xs ^ ys
         if self.s == 1:
             return (xs + ys) % self.p
         digs = self.np_digits()
@@ -449,6 +451,8 @@ class FieldSpec:
 
     def np_neg(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
+        if self.p == 2:
+            return xs.copy()
         if self.s == 1:
             return (-xs) % self.p
         digs = (-self.np_digits()[xs]) % self.p
@@ -457,6 +461,21 @@ class FieldSpec:
 
     def np_sub(self, xs, ys) -> np.ndarray:
         return self.np_add(xs, self.np_neg(ys))
+
+    def np_trace(self, codes) -> np.ndarray:
+        """Tr of every code, as integers in [0, p).
+
+        Tr is F_p-linear, so Tr(sum_i d_i x^i) = sum_i d_i Tr(x^i) mod p
+        over the base-p digits d_i of the code.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        if self.s == 1:
+            return codes % self.p
+        out = np.zeros_like(codes)
+        for i in range(self.s):
+            digit = (codes // self.p ** i) % self.p
+            out += digit * self.trace(self.p ** i)
+        return out % self.p
 
     def np_mul(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)

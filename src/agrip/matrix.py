@@ -2,12 +2,15 @@
 
 A MeasurementMatrix stores sparse signed-integer columns.  All metrics are
 computed in exact integer/rational arithmetic; floating point appears only in
-candidate screening (verified exactly afterwards) and in decimal renderings.
+the Welch bound and in decimal renderings.
 
 Coherence of a pair is |<phi_i, phi_j>| / sqrt(c_i * c_j) with integer inner
 products and integer squared norms, so every value is either a Fraction or a
 single-radicand SurdSum; average coherence over columns with mixed norms is a
 general SurdSum.
+
+All three come from one blocked int64 Gram pass that keeps, per squared-norm
+group, the signed and absolute row sums and the largest |<phi_i,phi_j>|.
 
 The pairwise scan is capped (default 20000 columns).  Above the cap the exact
 coherence must come from the function-space difference trick in
@@ -25,6 +28,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +54,7 @@ DEFAULT_PAIR_CAP = 20_000
 _BLOCK = 1024
 FORMAT_NAME = "AGRIP-SPARSE"
 FORMAT_VERSION = 1
+_MIN_ENTRY_BYTES = len("0 0 1\n")
 
 
 def worker_count() -> int:
@@ -159,24 +164,97 @@ class MeasurementMatrix:
 # -- exact Gram machinery ---------------------------------------------------
 
 
-def _gram_block(A: sp.csc_matrix, j0: int, j1: int) -> np.ndarray:
-    """Exact int64 Gram block A[:, j0:j1].T @ A."""
-    G = (A[:, j0:j1].T @ A).toarray()
-    return G.astype(np.int64, copy=False)
-
-
-def _iter_blocks(N: int, block: int):
-    for j0 in range(0, N, block):
-        yield j0, min(j0 + block, N)
-
-
 def _map_blocks(fn, N, block):
-    blocks = list(_iter_blocks(N, block))
+    blocks = [(j0, min(j0 + block, N)) for j0 in range(0, N, block)]
     workers = min(worker_count(), len(blocks))
     if workers <= 1:
         return [fn(b) for b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, blocks))
+
+
+class _GramScan(NamedTuple):
+    """One Gram pass over the columns sorted by squared norm (g groups)."""
+
+    values: np.ndarray    # (g,) the distinct squared norms, ascending
+    sqnorms: np.ndarray   # (N,) squared norm of each sorted column
+    signed: np.ndarray    # (N, g) sum of G_ij over j != i in each group
+    absolute: np.ndarray  # (N, g) the same sum of |G_ij|
+    pair_max: np.ndarray  # (g, g) max |G_ij|, i != j, over the two groups
+
+
+def _gram_scan(M: MeasurementMatrix, pair_cap: int, block: int) -> _GramScan:
+    """One exact int64 pass over the Gram matrix, in row blocks of `block`."""
+    if M.N < 2:
+        raise SingleColumn("coherence metrics need at least two columns")
+    if M.N > pair_cap:
+        raise PairScanCapExceeded(
+            f"{M.N} columns exceed the pairwise cap {pair_cap}; use the "
+            "difference-trick path or raise the cap explicitly")
+    order = np.argsort(M.sqnorms(), kind="stable")
+    c = M.sqnorms()[order]
+    values, starts = np.unique(c, return_index=True)
+    group = np.searchsorted(values, c)
+    A = M.to_csc()[:, order]
+
+    def scan(bounds):
+        j0, j1 = bounds
+        rows = np.arange(j1 - j0)
+        own = group[j0:j1]
+        G = (A[:, j0:j1].T @ A).toarray().astype(np.int64, copy=False)
+        signed = np.add.reduceat(G, starts, axis=1)
+        np.abs(G, out=G)
+        absolute = np.add.reduceat(G, starts, axis=1)
+        # G_ii = |G_ii| = c_i falls in the row's own norm group
+        signed[rows, own] -= c[j0:j1]
+        absolute[rows, own] -= c[j0:j1]
+        G[rows, rows + j0] = 0
+        col_max = np.maximum.reduceat(G, starts, axis=1)
+        heads = np.flatnonzero(np.diff(own, prepend=-1))
+        return (signed, absolute, own[heads],
+                np.maximum.reduceat(col_max, heads, axis=0))
+
+    parts = _map_blocks(scan, M.N, block)
+    pair_max = np.zeros((values.size, values.size), dtype=np.int64)
+    for _, _, row_groups, maxima in parts:
+        np.maximum.at(pair_max, row_groups, maxima)
+    return _GramScan(values, c, np.vstack([p[0] for p in parts]),
+                     np.vstack([p[1] for p in parts]), pair_max)
+
+
+def _coherence_from(scan: _GramScan):
+    values = scan.values.tolist()
+    best = (0, 1)  # (|G_ij|, c_i c_j) with |G_ij|^2 / (c_i c_j) maximal
+    for u, cu in enumerate(values):
+        for v, cv in enumerate(values):
+            ip = int(scan.pair_max[u, v])
+            if ip * ip * best[1] > best[0] * best[0] * cu * cv:
+                best = (ip, cu * cv)
+    if best[0] == 0:
+        return Fraction(0)
+    if len(values) == 1:
+        return Fraction(best[0], values[0])
+    return exact_ratio_sqrt(*best)
+
+
+def _average_coherence_from(scan: _GramScan, mode: str):
+    S = scan.signed if mode == "signed" else scan.absolute
+    N = scan.sqnorms.size
+    values = scan.values.tolist()
+    if len(values) == 1:
+        return Fraction(int(np.abs(S[:, 0]).max()), values[0] * (N - 1))
+    # score_i = sum_v S[i,v] / sqrt(v c_i) depends on the row only through
+    # (S[i,:], c_i), so each distinct row is summed and compared once
+    best = None
+    for *sums, ci in np.unique(np.column_stack([S, scan.sqnorms]),
+                               axis=0).tolist():
+        total = sum((SurdSum.ratio_sqrt(s, v * ci)
+                     for s, v in zip(sums, values)), SurdSum())
+        if mode == "signed":
+            total = abs(total)
+        if best is None or total > best:
+            best = total
+    return as_exact(best / (N - 1))
 
 
 def coherence(M: MeasurementMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
@@ -186,55 +264,7 @@ def coherence(M: MeasurementMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
     Returns a Fraction when the value is rational (always the case when all
     columns share a squared norm), else a single-radicand SurdSum.
     """
-    if M.N < 2:
-        raise SingleColumn("coherence needs at least two columns")
-    if M.N > pair_cap:
-        raise PairScanCapExceeded(
-            f"{M.N} columns exceed the pairwise cap {pair_cap}; use the "
-            "difference-trick path or raise the cap explicitly")
-    A = M.to_csc()
-    c = M.sqnorms()
-
-    if np.unique(c).size == 1:
-        cc = int(c[0])
-
-        def scan_const(bounds):
-            j0, j1 = bounds
-            G = _gram_block(A, j0, j1)
-            np.abs(G, out=G)
-            G[np.arange(j1 - j0), np.arange(j0, j1)] = -1
-            return int(G.max())
-
-        best_ip = max(_map_blocks(scan_const, M.N, block))
-        if best_ip <= 0:
-            return Fraction(0)
-        return Fraction(best_ip, cc)
-
-    cf = c.astype(np.float64)
-
-    def scan(bounds):
-        j0, j1 = bounds
-        G = _gram_block(A, j0, j1)
-        num2 = G.astype(np.float64) ** 2
-        den = cf[j0:j1, None] * cf[None, :]
-        ratio = num2 / den
-        ratio[np.arange(j1 - j0), np.arange(j0, j1)] = -1.0  # mask the diagonal
-        bm = ratio.max()
-        if bm <= 0:
-            return []
-        rows, cols = np.nonzero(ratio >= bm * (1 - 1e-9))
-        triples = np.stack([np.abs(G[rows, cols]),
-                            c[j0 + rows], c[cols]], axis=1)
-        return [tuple(int(x) for x in t) for t in np.unique(triples, axis=0)]
-
-    best = None  # (ip, ci, cj); ratios compared by integer cross-multiplication
-    for cands in _map_blocks(scan, M.N, block):
-        for ip, ci, cj in cands:
-            if best is None or ip * ip * best[1] * best[2] > best[0] ** 2 * ci * cj:
-                best = (ip, ci, cj)
-    if best is None or best[0] == 0:
-        return Fraction(0)
-    return exact_ratio_sqrt(best[0], best[1] * best[2])
+    return _coherence_from(_gram_scan(M, pair_cap, block))
 
 
 def average_coherence(M: MeasurementMatrix, mode: str = "absolute",
@@ -249,59 +279,7 @@ def average_coherence(M: MeasurementMatrix, mode: str = "absolute",
     """
     if mode not in ("absolute", "signed"):
         raise PreconditionError(f"unknown average-coherence mode {mode!r}")
-    if M.N < 2:
-        raise SingleColumn("average coherence needs at least two columns")
-    if M.N > pair_cap:
-        raise PairScanCapExceeded(
-            f"{M.N} columns exceed the pairwise cap {pair_cap}")
-    A = M.to_csc()
-    c = M.sqnorms()
-    values = np.unique(c)
-    groups = [np.nonzero(c == v)[0] for v in values]
-
-    def scan(bounds):
-        j0, j1 = bounds
-        G = _gram_block(A, j0, j1)
-        body = np.abs(G) if mode == "absolute" else G
-        S = np.empty((j1 - j0, len(values)), dtype=np.int64)
-        for gi, cols in enumerate(groups):
-            S[:, gi] = body[:, cols].sum(axis=1)
-        # remove the diagonal term from its own norm group
-        for r in range(j1 - j0):
-            i = j0 + r
-            gi = int(np.searchsorted(values, c[i]))
-            S[r, gi] -= int(c[i])  # |G_ii| = G_ii = c_i
-        return S
-
-    S = np.vstack(_map_blocks(scan, M.N, block))
-
-    if len(values) == 1:
-        cc = int(values[0])
-        scores = np.abs(S[:, 0]) if mode == "signed" else S[:, 0]
-        return Fraction(int(scores.max()), cc * (M.N - 1))
-
-    # mixed norms: score_i = sum_v S[i,v] / sqrt(v * c_i); select candidates
-    # by float, then compare the few finalists exactly
-    inv_sqrt = 1.0 / np.sqrt(values.astype(np.float64))
-    approx = (S.astype(np.float64) * inv_sqrt[None, :]).sum(axis=1)
-    approx /= np.sqrt(c.astype(np.float64))
-    if mode == "signed":
-        approx = np.abs(approx)
-    bm = approx.max()
-    cand = np.nonzero(approx >= bm - max(abs(bm), 1.0) * 1e-9)[0]
-
-    def exact_score(i):
-        total = SurdSum()
-        for gi, v in enumerate(values):
-            total = total + SurdSum.ratio_sqrt(int(S[i, gi]), int(v) * int(c[i]))
-        return abs(total) if mode == "signed" else total
-
-    best = None
-    for i in cand:
-        sc = exact_score(int(i))
-        if best is None or sc > best:
-            best = sc
-    return as_exact(best / (M.N - 1))
+    return _average_coherence_from(_gram_scan(M, pair_cap, block), mode)
 
 
 def welch_bound(n: int, N: int) -> float:
@@ -428,9 +406,10 @@ class CoherenceReport:
 def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
                      omega_mode: str = "signed",
                      pair_cap: int = DEFAULT_PAIR_CAP) -> CoherenceReport:
-    mu = coherence(M, pair_cap=pair_cap)
-    omega_signed = average_coherence(M, "signed", pair_cap=pair_cap)
-    omega_absolute = average_coherence(M, "absolute", pair_cap=pair_cap)
+    scan = _gram_scan(M, pair_cap, _BLOCK)
+    mu = _coherence_from(scan)
+    omega_signed = _average_coherence_from(scan, "signed")
+    omega_absolute = _average_coherence_from(scan, "absolute")
     welch = welch_bound(M.n, M.N) if M.N > M.n else None
     orthonormal = not as_exact(mu)
     k = sparsity_order_bound(mu, n=M.n)
@@ -471,6 +450,13 @@ def read_sparse(path, meta=None) -> MeasurementMatrix:
             raise FormatError(f"non-integer header fields in {header!r}", line=1)
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {version}", line=1)
+        # every column holds an entry and the shortest entry line is
+        # "0 0 1\n", so the header is checked before anything is allocated
+        data_bytes = os.fstat(fh.fileno()).st_size - len(header.encode())
+        if n < 1 or N < 1 or N > nnz or nnz * _MIN_ENTRY_BYTES > data_bytes:
+            raise FormatError(
+                f"header {header.strip()!r} does not fit a {data_bytes}-byte "
+                "body of nonempty columns", line=1)
         cols: list[tuple[list, list]] = [([], []) for _ in range(N)]
         last = (-1, -1)
         count = 0

@@ -111,17 +111,10 @@ def _column_parities(design: EvaluationDesign, digits: np.ndarray,
         coeff_sum = np.zeros(k, dtype=np.int64)
         for t in range(design.T):
             coeff_sum = field.np_add(coeff_sum, digits[:, t])
-        if field.s == 1:
-            tr = coeff_sum % field.p
-        else:
-            tr = np.array([field.trace(int(c)) for c in coeff_sum],
-                          dtype=np.int64)
+        tr = field.np_trace(coeff_sum)
         return np.broadcast_to(((tr % 2))[:, None], (k, B)).copy()
     # p = 2: trace bits of every coefficient, pivot coordinate excluded
-    tr_bits = np.empty((k, design.T), dtype=np.int64)
-    for t in range(design.T):
-        tr_bits[:, t] = np.array(
-            [field.trace(int(c)) for c in digits[:, t]], dtype=np.int64) % 2
+    tr_bits = field.np_trace(digits)
     total = tr_bits.sum(axis=1) % 2
     return (total[:, None] ^ tr_bits[:, pivot]) % 2
 

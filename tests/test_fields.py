@@ -150,6 +150,20 @@ def test_np_helpers_match_scalar_ops():
                 assert pw[i] == f.pow(int(xs[i]), e)
 
 
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_np_add_neg_trace_match_scalar_ops_on_every_element(p, s):
+    import numpy as np
+
+    f = make_field(p, s)
+    xs, ys = (a.ravel() for a in np.meshgrid(np.arange(f.q), np.arange(f.q)))
+    add = f.np_add(xs, ys)
+    assert add.tolist() == [f.add(int(x), int(y)) for x, y in zip(xs, ys)]
+    codes = np.arange(f.q, dtype=np.int64)
+    assert f.np_neg(codes).tolist() == [f.neg(a) for a in range(f.q)]
+    assert f.np_trace(codes).tolist() == [f.trace(a) for a in range(f.q)]
+    assert f.np_trace(codes.reshape(-1, 1)).shape == (f.q, 1)
+
+
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 

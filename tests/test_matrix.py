@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agrip.errors import (
     DegenerateShape,
@@ -13,9 +13,16 @@ from agrip.errors import (
 )
 from agrip.exact import SurdSum
 from agrip.fields import make_field
-from agrip.constructions import devore, fermat_hyperplane_matrix
+from agrip.constructions import (
+    construction_a_simple_poles,
+    devore,
+    fermat_hyperplane_matrix,
+)
+import agrip.matrix
 from agrip.matrix import (
+    DEFAULT_PAIR_CAP,
     MeasurementMatrix,
+    _gram_scan,
     average_coherence,
     coherence,
     coherence_report,
@@ -26,6 +33,8 @@ from agrip.matrix import (
     welch_bound_squared,
     write_sparse,
 )
+from agrip.signs import randomize_signs
+from agrip.verification import brute_force_coherence
 
 
 def dense_to_matrix(arr, meta=None):
@@ -258,3 +267,123 @@ def test_thread_count_does_not_change_results(monkeypatch):
     om4 = average_coherence(M, "signed", block=16)
     assert mu1 == mu4
     assert om1 == om4
+
+
+# -- the fused Gram scan ---------------------------------------------------------
+
+
+@st.composite
+def norm_grouped_matrices(draw):
+    """Signed columns, each a signed permutation of one of 1-4 base columns,
+    so the squared norms take 1-4 values and ratios tie across groups."""
+    n = draw(st.integers(2, 5))
+    base = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    bases = draw(st.lists(base, min_size=1, max_size=4))
+    cols = []
+    for _ in range(draw(st.integers(2, 7))):
+        col = draw(st.sampled_from(bases))
+        order = draw(st.permutations(range(n)))
+        flips = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        cols.append([col[k] * f for k, f in zip(order, flips)])
+    return np.array(cols, dtype=np.int64).T
+
+
+def _omega_by_definition(arr, mode):
+    """(1/(N-1)) max_i of sum_{j != i} G_ij / sqrt(c_i c_j), term by term."""
+    G = arr.T @ arr
+    N = arr.shape[1]
+    best = None
+    for i in range(N):
+        total = SurdSum()
+        for j in range(N):
+            if j != i:
+                ip = int(G[i, j]) if mode == "signed" else abs(int(G[i, j]))
+                total = total + SurdSum.ratio_sqrt(ip, int(G[i, i] * G[j, j]))
+        score = abs(total) if mode == "signed" else total
+        if best is None or score > best:
+            best = score
+    return best / (N - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(norm_grouped_matrices())
+@example(np.eye(2, dtype=np.int64))  # N = 2, orthonormal: mu = 0
+# (1,0,0,0), (1,1,0,0), (1,1,1,1): mu = 1/sqrt2 from (ip, c_i, c_j) = (1, 1, 2)
+# and from (2, 2, 4)
+@example(np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1], [0, 0, 1]]))
+def test_gram_scan_matches_the_definitions(arr):
+    M = dense_to_matrix(arr)
+    assert coherence(M) == brute_force_coherence(M)
+    for mode in ("signed", "absolute"):
+        assert average_coherence(M, mode) == _omega_by_definition(arr, mode)
+
+
+@pytest.mark.parametrize("M", [
+    construction_a_simple_poles(make_field(5), [0, 1], [2, 3, 4]),
+    randomize_signs(fermat_hyperplane_matrix(make_field(2, 2)), 3),
+], ids=["consta-poles-F5", "fermat-F4-random"])
+def test_gram_scan_does_not_depend_on_the_block_size(M):
+    ref = _gram_scan(M, DEFAULT_PAIR_CAP, 1024)
+    for block in (1, 7):
+        scan = _gram_scan(M, DEFAULT_PAIR_CAP, block)
+        for got, want in zip(scan, ref):
+            assert np.array_equal(got, want)
+        assert coherence(M, block=block) == coherence(M)
+        for mode in ("signed", "absolute"):
+            assert (average_coherence(M, mode, block=block)
+                    == average_coherence(M, mode))
+
+
+def test_report_makes_one_gram_scan(monkeypatch):
+    calls = []
+    real = agrip.matrix._gram_scan
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(agrip.matrix, "_gram_scan", counting)
+    M = construction_a_simple_poles(make_field(5), [0, 1], [2, 3, 4])
+    report = coherence_report(M)
+    assert len(calls) == 1
+    assert report.mu == coherence(M)
+    assert report.omega_absolute == average_coherence(M, "absolute")
+
+
+_READ_HUGE_HEADER = """
+import resource, sys
+from agrip.errors import FormatError
+from agrip.matrix import read_sparse
+# a reader that trusted the header would build 10^9 columns; under a 2 GiB
+# address-space cap that ends in MemoryError instead of exhausting the host
+resource.setrlimit(resource.RLIMIT_AS,
+                   (1 << 31, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    read_sparse(sys.argv[1])
+except FormatError as err:
+    print(err.line)
+"""
+
+
+def test_read_sparse_checks_the_header_before_allocating(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "huge.agrip"
+    path.write_text("AGRIP-SPARSE 1 4 1000000000 1000000000\n0 0 1\n")
+    src = os.path.dirname(os.path.dirname(agrip.matrix.__file__))
+    # one BLAS thread keeps the child's own address space small
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _READ_HUGE_HEADER, str(path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"
+    for header in ("AGRIP-SPARSE 1 0 1 1",      # n < 1
+                   "AGRIP-SPARSE 1 4 0 1",      # N < 1
+                   "AGRIP-SPARSE 1 4 2 1",      # N > nnz: a column is empty
+                   "AGRIP-SPARSE 1 4 1 2"):     # 2 entries cannot fit 6 bytes
+        path.write_text(header + "\n0 0 1\n")
+        with pytest.raises(FormatError) as err:
+            read_sparse(path)
+        assert err.value.line == 1

@@ -257,6 +257,99 @@ def test_sparse_format_errors_carry_line_numbers(tmp_path):
         read_sparse(path)
 
 
+_HEADER_2x2 = "AGRIP-SPARSE 1 2 2 2\n"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("NOPE 1 2 2 2\n0 0 1\n1 0 1\n", 1, "bad header 'NOPE 1 2 2 2\\n'"),
+    ("AGRIP-SPARSE 1 2 2\n0 0 1\n1 0 1\n", 1,
+     "bad header 'AGRIP-SPARSE 1 2 2\\n'"),
+    ("AGRIP-SPARSE 1 2 x 2\n0 0 1\n1 0 1\n", 1,
+     "non-integer header fields in 'AGRIP-SPARSE 1 2 x 2\\n'"),
+    ("AGRIP-SPARSE 2 2 2 2\n0 0 1\n1 0 1\n", 1,
+     "unsupported format version 2"),
+    ("AGRIP-SPARSE 1 2 2 3\n0 0 1\n1 0 1\n", 1,
+     "header 'AGRIP-SPARSE 1 2 2 3' does not fit a 12-byte body of "
+     "nonempty columns"),
+], ids=["name", "field-count", "non-integer", "version", "does-not-fit"])
+def test_read_sparse_header_errors(tmp_path, text, line, message):
+    path = tmp_path / "bad.agrip"
+    path.write_bytes(text.encode())
+    with pytest.raises(FormatError) as err:
+        read_sparse(path)
+    assert type(err.value) is FormatError
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    (_HEADER_2x2 + "0 0 1\n\n1 0 1\n", 3, "blank line inside data"),
+    (_HEADER_2x2 + "0 0 1\n   \n1 0 1\n", 3, "blank line inside data"),
+    (_HEADER_2x2 + "0 0 1\n1 0 1 7\n", 3, "malformed entry '1 0 1 7'"),
+    (_HEADER_2x2 + "0 0 1\n1 0 one\n", 3, "malformed entry '1 0 one'"),
+    (_HEADER_2x2 + "0 0 1\n1 0 1.0\n", 3, "malformed entry '1 0 1.0'"),
+    (_HEADER_2x2 + "0 0 1\n2 0 1\n", 3, "column index 2 out of range"),
+    (_HEADER_2x2 + "-1 0 1\n1 0 1\n", 2, "column index -1 out of range"),
+    (_HEADER_2x2 + "0 0 1\n1 2 1\n", 3, "row index 2 out of range"),
+    (_HEADER_2x2 + "0 -1 1\n1 0 1\n", 2, "row index -1 out of range"),
+    (_HEADER_2x2 + "0 0 1\n1 0 0\n", 3, "explicit zero entry"),
+    (_HEADER_2x2 + "0 0 1\n1 0 -0\n", 3, "explicit zero entry"),
+    (_HEADER_2x2 + "1 0 1\n0 0 1\n", 3, "entries not sorted by (col, row)"),
+    (_HEADER_2x2 + "0 1 1\n0 0 1\n", 3, "entries not sorted by (col, row)"),
+    ("AGRIP-SPARSE 1 2 2 3\n0 0 1000000\n1 0 1000000\n", 3,
+     "header promises 3 entries, found 2"),
+    (_HEADER_2x2 + "0 0 1\n0 1 1\n1 0 1\n", 4,
+     "header promises 2 entries, found 3"),
+    ("AGRIP-SPARSE 1 2 3 3\n0 0 1\n0 1 1\n2 0 1\n", 4,
+     "column 1 has no entries"),
+    ("AGRIP-SPARSE 1 2 3 3\n0 0 1\n1 1 1\n1 0 1\n", 4,
+     "entries not sorted by (col, row)"),
+], ids=["blank", "blank-spaces", "extra-field", "word", "decimal-point",
+        "column-high", "column-negative", "row-high", "row-negative",
+        "zero", "minus-zero", "column-order", "row-order", "too-few",
+        "too-many", "empty-column", "first-fault-wins"])
+def test_read_sparse_body_errors(tmp_path, text, line, message):
+    path = tmp_path / "bad.agrip"
+    path.write_bytes(text.encode())
+    with pytest.raises(FormatError) as err:
+        read_sparse(path)
+    assert type(err.value) is FormatError
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_read_sparse_accepts_non_canonical_spellings(tmp_path):
+    """int() spellings and line endings the line parser has always taken."""
+    arr = np.zeros((12, 3), dtype=np.int64)
+    arr[[0, 10, 11], 0] = [1, 1, -3]
+    arr[[2, 5], 1] = [1, 1]
+    arr[[7], 2] = [12]
+    M = dense_to_matrix(arr)
+    canonical = tmp_path / "canonical.agrip"
+    write_sparse(M, canonical)
+    assert canonical.read_bytes() == (b"AGRIP-SPARSE 1 12 3 6\n0 0 1\n0 10 1\n"
+                                      b"0 11 -3\n1 2 1\n1 5 1\n2 7 12\n")
+    spellings = {
+        "plus-sign": "AGRIP-SPARSE 1 12 3 6\n0 0 +1\n0 10 1\n0 11 -3\n"
+                     "1 2 +1\n1 5 1\n2 7 +12\n",
+        "leading-zeros": "AGRIP-SPARSE 1 012 3 6\n00 0 1\n0 010 01\n"
+                         "0 11 -03\n1 002 1\n01 5 1\n2 7 0012\n",
+        "underscores": "AGRIP-SPARSE 1 1_2 3 6\n0 0 1\n0 1_0 1\n0 1_1 -3\n"
+                       "1 2 1\n1 5 1\n2 7 1_2\n",
+        "crlf": "AGRIP-SPARSE 1 12 3 6\r\n0 0 1\r\n0 10 1\r\n0 11 -3\r\n"
+                "1 2 1\r\n1 5 1\r\n2 7 12\r\n",
+        "whitespace": "AGRIP-SPARSE  1 12 3 6 \n0\t0 1\n 0 10 1\n0 11  -3\n"
+                      "1 2 1 \n1 5 1\n2 7 12",
+    }
+    for name, text in spellings.items():
+        path = tmp_path / f"{name}.agrip"
+        path.write_bytes(text.encode())
+        assert read_sparse(path) == M, name
+        again = tmp_path / f"{name}-again.agrip"
+        write_sparse(read_sparse(path), again)
+        assert again.read_bytes() == canonical.read_bytes(), name
+
+
 def test_thread_count_does_not_change_results(monkeypatch):
     M = fermat_hyperplane_matrix(make_field(2, 2))
     monkeypatch.setenv("AGRIP_THREADS", "1")

@@ -192,16 +192,20 @@ def _apply_scheme(M, scheme_text, sidecar):
     raise PreconditionError(f"unknown sign scheme {scheme_text!r}")
 
 
+def _write_signed(M, scheme_text, sidecar, out):
+    """Sign M, write it and its sidecar to out, and return the signed matrix."""
+    signed, scheme = _apply_scheme(M, scheme_text, sidecar)
+    mx.write_sparse(signed, out)
+    _dump_json({**sidecar, "sign_scheme": scheme}, _sidecar_for(out))
+    return signed
+
+
 def cmd_sign(args) -> int:
     sidecar = _load_sidecar(args.design)
     M = mx.read_sparse(args.infile, meta={k: sidecar.get(k) for k in
                                           ("family", "params", "field")})
-    signed, scheme = _apply_scheme(M, args.scheme, sidecar)
     out = Path(args.out)
-    mx.write_sparse(signed, out)
-    new_sidecar = dict(sidecar)
-    new_sidecar["sign_scheme"] = scheme
-    _dump_json(new_sidecar, _sidecar_for(out))
+    _write_signed(M, args.scheme, sidecar, out)
     _write_manifest("sign", _args_dict(args), [args.infile, args.design],
                     [out, _sidecar_for(out)], _manifest_for(out))
     print(f"wrote {out}", file=sys.stderr)
@@ -210,9 +214,12 @@ def cmd_sign(args) -> int:
 
 # -- analyze ---------------------------------------------------------------------
 
+_ANALYZE_KEYS = ("family", "params", "field", "sign_scheme")
 
-def _certificate_if_balanced(M, meta, report, log_base):
+
+def _certificate_if_balanced(M, report, log_base):
     """The balanced certificate, reusing the report's mu and omega_signed."""
+    meta = M.meta
     sign_kind = (meta.get("sign_scheme") or {}).get("kind")
     if sign_kind != "balanced":
         return None
@@ -226,23 +233,28 @@ def _certificate_if_balanced(M, meta, report, log_base):
     return cert.to_dict()
 
 
+def _analysis(M, args) -> dict:
+    """The analyze payload: M's report, its sign scheme and, for balanced
+    designs, the certificate; M.meta holds the sidecar's _ANALYZE_KEYS."""
+    report = mx.coherence_report(M, log_base=args.log_base,
+                                 omega_mode=args.omega_mode,
+                                 pair_cap=args.pair_cap)
+    payload = report.to_dict()
+    if M.meta.get("sign_scheme") is not None:
+        payload["sign_scheme"] = M.meta["sign_scheme"]
+    certificate = _certificate_if_balanced(M, report, args.log_base)
+    if certificate is not None:
+        payload["strong_coherence_certificate"] = certificate
+    return payload
+
+
 def cmd_analyze(args) -> int:
     meta = {}
     sidecar_path = _sidecar_for(args.infile)
     if os.path.exists(sidecar_path):
         sidecar = _load_sidecar(sidecar_path)
-        meta = {k: sidecar.get(k) for k in ("family", "params", "field",
-                                            "sign_scheme")}
-    M = mx.read_sparse(args.infile, meta=meta)
-    report = mx.coherence_report(M, log_base=args.log_base,
-                                 omega_mode=args.omega_mode,
-                                 pair_cap=args.pair_cap)
-    payload = report.to_dict()
-    if meta.get("sign_scheme") is not None:
-        payload["sign_scheme"] = meta["sign_scheme"]
-    certificate = _certificate_if_balanced(M, meta, report, args.log_base)
-    if certificate is not None:
-        payload["strong_coherence_certificate"] = certificate
+        meta = {k: sidecar.get(k) for k in _ANALYZE_KEYS}
+    payload = _analysis(mx.read_sparse(args.infile, meta=meta), args)
     if args.out:
         _dump_json(payload, args.out)
         _write_manifest("analyze", _args_dict(args), [args.infile],
@@ -343,6 +355,12 @@ def cmd_recover(args) -> int:
 # -- pipeline ---------------------------------------------------------------------
 
 
+def _with_meta(M, meta):
+    """M's arrays under other metadata."""
+    return mx.MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices, M.data,
+                                         meta=meta, validate=False)
+
+
 def cmd_pipeline(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -353,43 +371,27 @@ def cmd_pipeline(args) -> int:
     _dump_json(_matrix_sidecar(M), _sidecar_for(matrix_path))
     artifacts = [matrix_path, Path(_sidecar_for(matrix_path))]
 
-    current = matrix_path
+    current, Mc = matrix_path, M
     if args.sign_scheme and args.sign_scheme != "ones":
-        signed_path = outdir / "signed.agrip"
-        sidecar = _load_sidecar(_sidecar_for(matrix_path))
-        signed, scheme = _apply_scheme(
-            mx.read_sparse(matrix_path, meta=_matrix_sidecar(M)),
-            args.sign_scheme, sidecar)
-        mx.write_sparse(signed, signed_path)
-        new_sidecar = dict(sidecar)
-        new_sidecar["sign_scheme"] = scheme
-        _dump_json(new_sidecar, _sidecar_for(signed_path))
-        artifacts += [signed_path, Path(_sidecar_for(signed_path))]
-        current = signed_path
+        current = outdir / "signed.agrip"
+        Mc = _write_signed(M, args.sign_scheme,
+                           _load_sidecar(_sidecar_for(matrix_path)), current)
+        artifacts += [current, Path(_sidecar_for(current))]
 
+    # the later stages see the matrix with the metadata a read-back of
+    # `current` would give it: the sidecar's keys for analyze, none for recover
     if args.analyze:
         report_path = outdir / "report.json"
         sidecar = _load_sidecar(_sidecar_for(current))
-        Mc = mx.read_sparse(current, meta={k: sidecar.get(k) for k in
-                                           ("family", "params", "field",
-                                            "sign_scheme")})
-        report = mx.coherence_report(Mc, log_base=args.log_base,
-                                     omega_mode=args.omega_mode,
-                                     pair_cap=args.pair_cap)
-        payload = report.to_dict()
-        if sidecar.get("sign_scheme") is not None:
-            payload["sign_scheme"] = sidecar["sign_scheme"]
-        certificate = _certificate_if_balanced(Mc, sidecar, report,
-                                               args.log_base)
-        if certificate is not None:
-            payload["strong_coherence_certificate"] = certificate
+        payload = _analysis(_with_meta(Mc, {k: sidecar.get(k)
+                                            for k in _ANALYZE_KEYS}), args)
         _dump_json(payload, report_path)
         artifacts.append(report_path)
 
     if args.recover_k:
         recover_path = outdir / "recovery.json"
-        Mc = mx.read_sparse(current)
-        report = rec.run_experiment(Mc, _parse_k_range(args.recover_k),
+        report = rec.run_experiment(_with_meta(Mc, {}),
+                                    _parse_k_range(args.recover_k),
                                     args.trials, sigma=args.sigma,
                                     seed=args.seed, algorithm=args.algorithm)
         _dump_json(report.to_dict(), recover_path)

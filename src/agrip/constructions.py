@@ -241,12 +241,25 @@ def evaluation_matrix(design: EvaluationDesign,
     if N > materialize_cap:
         raise ColumnCapExceeded(
             f"q^T = {N} exceeds the materialization cap {materialize_cap}")
-    cols = iter_evaluation_columns(design, materialize_cap)
+    q, B = design.field.q, design.size
+    point_base = np.arange(B, dtype=np.int64) * q
+    rows = [(point_base + vals).ravel() for _, vals in
+            evaluation_blocks(design.field, design.table, range(N))]
     meta = {"family": design.family, "params": design.params,
             "field": design.field.descriptor, "sign_scheme": {"kind": "all_ones"},
-            "column_support": design.size, "bound_on_zeros": design.bound_on_zeros}
-    return MeasurementMatrix(design.field.q * design.size, N, cols, meta=meta,
-                             validate=False)
+            "column_support": B, "bound_on_zeros": design.bound_on_zeros}
+    return MeasurementMatrix.from_csc(
+        q * B, N, np.arange(N + 1) * B, np.concatenate(rows),
+        np.ones(N * B, dtype=np.int64), meta=meta, validate=False)
+
+
+def _matrix_from_blocks(n: int, sizes, rows, values, meta) -> MeasurementMatrix:
+    """One matrix from per-block lists of column sizes, rows and values."""
+    sizes, rows, values = (np.concatenate(parts + [np.zeros(0, dtype=np.int64)])
+                           for parts in (sizes, rows, values))
+    return MeasurementMatrix.from_csc(n, sizes.size,
+                                      np.concatenate([[0], np.cumsum(sizes)]),
+                                      rows, values, meta=meta)
 
 
 def iter_evaluation_columns(design: EvaluationDesign,
@@ -306,18 +319,19 @@ def _pole_slot_matrix(field: FieldSpec, table: np.ndarray, num_poles: int,
     N = q ** T
     pole_rows = np.arange(num_poles, dtype=np.int64) * (q + 1) + q
     value_base = (num_poles + np.arange(E, dtype=np.int64)) * (q + 1)
-    cols = []
+    sizes, rows, values = [], [], []
     for coeffs, vals in evaluation_blocks(field, table, range(N)):
         k = coeffs.shape[0]
-        rows = np.hstack([np.broadcast_to(pole_rows, (k, num_poles)),
-                          value_base + vals])
+        block_rows = np.hstack([np.broadcast_to(pole_rows, (k, num_poles)),
+                                value_base + vals])
         entries = np.hstack([pole_entries(coeffs),
                              np.ones((k, E), dtype=np.int64)])
         keep = entries != 0
-        ends = np.cumsum(keep.sum(axis=1))[:-1]
-        cols.extend(zip(np.split(rows[keep], ends),
-                        np.split(entries[keep], ends)))
-    return MeasurementMatrix((q + 1) * (num_poles + E), N, cols, meta=meta)
+        sizes.append(keep.sum(axis=1))
+        rows.append(block_rows[keep])
+        values.append(entries[keep])
+    return _matrix_from_blocks((q + 1) * (num_poles + E), sizes, rows, values,
+                               meta)
 
 
 def construction_a_simple_poles(field: FieldSpec, poles, eval_points,
@@ -668,14 +682,16 @@ def plane_curve_census(field: FieldSpec, r: int, extension_depth: int = 3,
                             bound_vacuous=lower <= 0)
 
 
-def _zero_set_columns(field: FieldSpec, table: np.ndarray, codes) -> list:
+def _zero_set_matrix(field: FieldSpec, table: np.ndarray, codes,
+                     meta: dict) -> MeasurementMatrix:
     """Incidence columns: the points of table where each function vanishes."""
-    cols = []
+    sizes, rows, ones = [], [], []
     for _, vals in evaluation_blocks(field, table, codes):
-        for row_vals in vals:
-            rows = np.flatnonzero(row_vals == 0)
-            cols.append((rows, np.ones(rows.size, dtype=np.int64)))
-    return cols
+        zero = vals == 0
+        sizes.append(zero.sum(axis=1))
+        rows.append(np.nonzero(zero)[1])
+        ones.append(np.ones(rows[-1].size, dtype=np.int64))
+    return _matrix_from_blocks(table.shape[1], sizes, rows, ones, meta)
 
 
 def plane_curve_matrix(field: FieldSpec, r: int, extension_depth: int = 3,
@@ -698,13 +714,12 @@ def plane_curve_matrix(field: FieldSpec, r: int, extension_depth: int = 3,
                                   field.np_pow(X[:, 1], j)),
                      field.np_pow(X[:, 2], l))
         for i, j, l in monos])
-    cols = _zero_set_columns(field, table, reps)
     meta = {"family": "planecurve", "params": {"r": r},
             "field": field.descriptor, "sign_scheme": {"kind": "all_ones"},
             "column_support": None,
             "tuple_count": int((~mask).sum()),
             "class_count": int(reps.size)}
-    return MeasurementMatrix(len(pts), reps.size, cols, meta=meta)
+    return _zero_set_matrix(field, table, reps, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -755,12 +770,11 @@ def fermat_hyperplane_matrix(field: FieldSpec,
     # its code is their base-Q number
     codes = hyperplanes @ (field.q ** np.arange(4, dtype=np.int64))
     table = np.array(surface, dtype=np.int64).T
-    cols = _zero_set_columns(field, table, codes)
     meta = {"family": "fermat", "params": {"q": q},
             "field": field.descriptor, "sign_scheme": {"kind": "all_ones"},
             "column_support": None,
             "surface_points": len(surface)}
-    return MeasurementMatrix(len(surface), hyperplanes.shape[0], cols, meta=meta)
+    return _zero_set_matrix(field, table, codes, meta)
 
 
 # ---------------------------------------------------------------------------

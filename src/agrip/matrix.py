@@ -1,8 +1,9 @@
 """Measurement-matrix data model and exact coherence metrics.
 
-A MeasurementMatrix stores sparse signed-integer columns.  All metrics are
-computed in exact integer/rational arithmetic; floating point appears only in
-the Welch bound and in decimal renderings.
+A MeasurementMatrix stores its sparse signed-integer columns as one int64
+CSC triple (indptr, indices, data).  All metrics are computed in exact
+integer/rational arithmetic; floating point appears only in the Welch bound
+and in decimal renderings.
 
 Coherence of a pair is |<phi_i, phi_j>| / sqrt(c_i * c_j) with integer inner
 products and integer squared norms, so every value is either a Fraction or a
@@ -20,6 +21,11 @@ On-disk format AGRIP-SPARSE, bit-exact:
     line 1: "AGRIP-SPARSE 1 <n> <N> <nnz>"
     then one line per nonzero: "<col> <row> <value>", sorted by (col, row),
     0-based indices, decimal integers, "\\n" line endings.
+write_sparse renders the arrays in blocks.  read_sparse parses a file whose
+bytes are exactly that rendering in one numpy call and checks it as arrays;
+any other file (a fault, or a spelling such as "+1", "01", "1_0" or "\\r\\n"
+endings that Python's int() and line splitting accept) goes through the
+line-by-line reader, which raises FormatError at the first bad line.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ from .exact import (
 
 DEFAULT_PAIR_CAP = 20_000
 _BLOCK = 1024
+_GRAM_BLOCK_ENTRIES = 1 << 23  # 64 MB of int64 per dense Gram block
+_IO_BLOCK = 1 << 16  # entries per rendered block
 FORMAT_NAME = "AGRIP-SPARSE"
 FORMAT_VERSION = 1
 _MIN_ENTRY_BYTES = len("0 0 1\n")
@@ -71,78 +79,97 @@ def worker_count() -> int:
 class MeasurementMatrix:
     """Sparse signed-integer column matrix with provenance metadata.
 
-    Immutable after construction.  Columns are (row_indices, values) pairs
-    with strictly increasing row indices and nonzero integer values.
+    Column j has the strictly increasing rows indices[indptr[j]:indptr[j+1]]
+    and the nonzero values data[indptr[j]:indptr[j+1]]; no column is empty.
+    Immutable after construction.  The constructor concatenates a list of
+    (rows, values) columns; from_csc takes the three arrays as they are.
     """
 
-    __slots__ = ("n", "N", "_cols", "meta", "_csc", "_sqnorms")
+    __slots__ = ("n", "N", "indptr", "indices", "data", "meta", "_csc",
+                 "_sqnorms")
 
     def __init__(self, n: int, N: int, columns, meta=None, validate: bool = True):
-        self.n = int(n)
-        self.N = int(N)
-        cols = []
-        for rows, vals in columns:
-            r = np.asarray(rows, dtype=np.int64)
-            v = np.asarray(vals, dtype=np.int64)
-            cols.append((r, v))
-        self._cols = cols
+        cols = [(np.asarray(r, dtype=np.int64), np.asarray(v, dtype=np.int64))
+                for r, v in columns]
+        if any(r.shape != v.shape or r.ndim != 1 for r, v in cols):
+            raise PreconditionError("malformed column arrays")
+        none = [np.zeros(0, dtype=np.int64)]
+        self._store(n, N, np.cumsum([0] + [r.size for r, _ in cols]),
+                    np.concatenate([r for r, _ in cols] + none),
+                    np.concatenate([v for _, v in cols] + none), meta, validate)
+
+    @classmethod
+    def from_csc(cls, n: int, N: int, indptr, indices, data, meta=None,
+                 validate: bool = True) -> "MeasurementMatrix":
+        M = cls.__new__(cls)
+        M._store(n, N, indptr, indices, data, meta, validate)
+        return M
+
+    def _store(self, n, N, indptr, indices, data, meta, validate):
+        self.n, self.N = int(n), int(N)
+        self.indptr, self.indices, self.data = (
+            np.asarray(a, dtype=np.int64) for a in (indptr, indices, data))
         self.meta = dict(meta or {})
-        self._csc = None
-        self._sqnorms = None
+        self._csc = self._sqnorms = None
         if validate:
             self._validate()
 
     def _validate(self):
         if self.N < 1 or self.n < 1:
             raise PreconditionError("matrix must have at least one row and column")
-        if len(self._cols) != self.N:
-            raise PreconditionError(f"expected {self.N} columns, got {len(self._cols)}")
-        for j, (rows, vals) in enumerate(self._cols):
-            if rows.shape != vals.shape or rows.ndim != 1:
-                raise PreconditionError(f"column {j}: malformed arrays")
-            if rows.size == 0:
-                raise PreconditionError(f"column {j} is zero")
-            if np.any(vals == 0):
-                raise PreconditionError(f"column {j} stores a zero entry")
-            if np.any(rows[:-1] >= rows[1:]):
-                raise PreconditionError(f"column {j}: row indices not strictly increasing")
-            if rows[0] < 0 or rows[-1] >= self.n:
-                raise PreconditionError(f"column {j}: row index out of range")
+        indptr, rows, vals = self.indptr, self.indices, self.data
+        if indptr.shape != (self.N + 1,):
+            raise PreconditionError(
+                f"expected {self.N} columns, got {indptr.size - 1}")
+        sizes = np.diff(indptr)
+        if (rows.ndim != 1 or rows.shape != vals.shape or indptr[0] != 0
+                or indptr[-1] != rows.size or np.any(sizes < 0)):
+            raise PreconditionError("malformed CSC arrays")
+        col = np.repeat(np.arange(self.N), sizes)
+        rising = (rows[1:] > rows[:-1]) | (col[1:] != col[:-1])
+        for message, bad in (
+                ("column {} is zero", np.flatnonzero(sizes == 0)),
+                ("column {} stores a zero entry", col[vals == 0]),
+                ("column {}: row indices not strictly increasing",
+                 col[1:][~rising]),
+                ("column {}: row index out of range",
+                 col[(rows < 0) | (rows >= self.n)])):
+            if bad.size:
+                raise PreconditionError(message.format(bad[0]))
 
     # -- views ------------------------------------------------------------
 
     def column(self, j: int):
-        """(rows, values) arrays of column j.  Do not mutate."""
-        return self._cols[j]
+        """(rows, values) slices of column j.  Do not mutate."""
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
 
     @property
     def nnz(self) -> int:
-        return sum(r.size for r, _ in self._cols)
+        return int(self.indptr[-1])
 
     def sqnorms(self) -> np.ndarray:
         if self._sqnorms is None:
-            self._sqnorms = np.array(
-                [int((v.astype(np.int64) ** 2).sum()) for _, v in self._cols],
-                dtype=np.int64)
+            self._sqnorms = np.add.reduceat(self.data * self.data,
+                                            self.indptr[:-1])
         return self._sqnorms
 
     def is_binary(self) -> bool:
-        return all(np.all(v == 1) for _, v in self._cols)
+        return bool(np.all(self.data == 1))
 
     def constant_support(self):
         """Common nonzero count per column, or None if it varies."""
-        sizes = {r.size for r, _ in self._cols}
-        return sizes.pop() if len(sizes) == 1 else None
+        sizes = np.diff(self.indptr)
+        return int(sizes[0]) if np.all(sizes == sizes[0]) else None
 
     def to_csc(self) -> sp.csc_matrix:
+        """The matrix as scipy CSC, sharing this matrix's arrays."""
         if self._csc is None:
-            indptr = np.zeros(self.N + 1, dtype=np.int64)
-            for j, (r, _) in enumerate(self._cols):
-                indptr[j + 1] = indptr[j] + r.size
-            indices = np.concatenate([r for r, _ in self._cols])
-            data = np.concatenate([v for _, v in self._cols])
-            self._csc = sp.csc_matrix((data, indices, indptr),
-                                      shape=(self.n, self.N))
+            # scipy's (data, indices, indptr) constructor would copy the
+            # indices down to int32, so the arrays are attached afterwards
+            A = sp.csc_matrix((self.n, self.N), dtype=np.int64)
+            A.data, A.indices, A.indptr = self.data, self.indices, self.indptr
+            self._csc = A
         return self._csc
 
     def to_dense(self) -> np.ndarray:
@@ -151,10 +178,10 @@ class MeasurementMatrix:
     def __eq__(self, other):
         if not isinstance(other, MeasurementMatrix):
             return NotImplemented
-        if (self.n, self.N) != (other.n, other.N):
-            return False
-        return all(np.array_equal(r1, r2) and np.array_equal(v1, v2)
-                   for (r1, v1), (r2, v2) in zip(self._cols, other._cols))
+        return ((self.n, self.N) == (other.n, other.N)
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.data, other.data))
 
     def __repr__(self):
         fam = self.meta.get("family", "?")
@@ -183,8 +210,15 @@ class _GramScan(NamedTuple):
     pair_max: np.ndarray  # (g, g) max |G_ij|, i != j, over the two groups
 
 
-def _gram_scan(M: MeasurementMatrix, pair_cap: int, block: int) -> _GramScan:
-    """One exact int64 pass over the Gram matrix, in row blocks of `block`."""
+def _default_block(N: int) -> int:
+    """Gram block height: at most _BLOCK rows and _GRAM_BLOCK_ENTRIES entries."""
+    return min(_BLOCK, max(1, _GRAM_BLOCK_ENTRIES // N))
+
+
+def _gram_scan(M: MeasurementMatrix, pair_cap: int,
+               block: int | None = None) -> _GramScan:
+    """One exact int64 pass over the Gram matrix, in row blocks of `block`
+    (default: _default_block(N))."""
     if M.N < 2:
         raise SingleColumn("coherence metrics need at least two columns")
     if M.N > pair_cap:
@@ -214,7 +248,7 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int, block: int) -> _GramScan:
         return (signed, absolute, own[heads],
                 np.maximum.reduceat(col_max, heads, axis=0))
 
-    parts = _map_blocks(scan, M.N, block)
+    parts = _map_blocks(scan, M.N, block or _default_block(M.N))
     pair_max = np.zeros((values.size, values.size), dtype=np.int64)
     for _, _, row_groups, maxima in parts:
         np.maximum.at(pair_max, row_groups, maxima)
@@ -258,7 +292,7 @@ def _average_coherence_from(scan: _GramScan, mode: str):
 
 
 def coherence(M: MeasurementMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
-              block: int = _BLOCK):
+              block: int | None = None):
     """Exact coherence max_{i<j} |<phi_i,phi_j>| / (||phi_i|| ||phi_j||).
 
     Returns a Fraction when the value is rational (always the case when all
@@ -268,7 +302,8 @@ def coherence(M: MeasurementMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
 
 
 def average_coherence(M: MeasurementMatrix, mode: str = "absolute",
-                      pair_cap: int = DEFAULT_PAIR_CAP, block: int = _BLOCK):
+                      pair_cap: int = DEFAULT_PAIR_CAP,
+                      block: int | None = None):
     """Exact average coherence.
 
     absolute: (1/(N-1)) max_i sum_{j != i} |<phi_i,phi_j>| / (||phi_i|| ||phi_j||)
@@ -406,7 +441,7 @@ class CoherenceReport:
 def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
                      omega_mode: str = "signed",
                      pair_cap: int = DEFAULT_PAIR_CAP) -> CoherenceReport:
-    scan = _gram_scan(M, pair_cap, _BLOCK)
+    scan = _gram_scan(M, pair_cap)
     mu = _coherence_from(scan)
     omega_signed = _average_coherence_from(scan, "signed")
     omega_absolute = _average_coherence_from(scan, "absolute")
@@ -429,16 +464,57 @@ def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
 # -- AGRIP-SPARSE io -----------------------------------------------------------
 
 
+def _entry_blocks(entries: np.ndarray):
+    """AGRIP-SPARSE lines of an (nnz, 3) array of (col, row, value) rows."""
+    for lo in range(0, len(entries), _IO_BLOCK):
+        flat = entries[lo:lo + _IO_BLOCK].ravel().tolist()
+        yield (b"%d %d %d\n" * (len(flat) // 3)) % tuple(flat)
+
+
+def _header(n: int, N: int, nnz: int) -> bytes:
+    return f"{FORMAT_NAME} {FORMAT_VERSION} {n} {N} {nnz}\n".encode()
+
+
 def write_sparse(M: MeasurementMatrix, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{FORMAT_NAME} {FORMAT_VERSION} {M.n} {M.N} {M.nnz}\n")
-        for j in range(M.N):
-            rows, vals = M.column(j)
-            for r, v in zip(rows.tolist(), vals.tolist()):
-                fh.write(f"{j} {r} {v}\n")
+    cols = np.repeat(np.arange(M.N), np.diff(M.indptr))
+    with open(path, "wb") as fh:
+        fh.write(_header(M.n, M.N, M.nnz))
+        fh.writelines(_entry_blocks(np.column_stack((cols, M.indices, M.data))))
 
 
 def read_sparse(path, meta=None) -> MeasurementMatrix:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header, _, body = raw.partition(b"\n")
+    fields = header.split(b" ")
+    if len(fields) == 5 and all(f.isdigit() and len(f) < 20
+                                for f in fields[2:]):
+        n, N, nnz = (int(f) for f in fields[2:])
+        if header + b"\n" == _header(n, N, nnz) and 1 <= N <= nnz:
+            M = _read_canonical(n, N, nnz, body, meta)
+            if M is not None:
+                return M
+    return _read_lines(path, meta)
+
+
+def _read_canonical(n, N, nnz, body, meta):
+    """The matrix if body is write_sparse's rendering of a valid one."""
+    try:  # fails on a stray token and on a count other than 3 * nnz
+        entries = np.fromstring(body, dtype=np.int64, sep=" ").reshape(nnz, 3)
+    except ValueError:
+        return None
+    col, row, val = entries.T.copy()
+    if (col[0] < 0 or col[-1] >= N or np.any(np.diff(col) < 0)
+            or b"".join(_entry_blocks(entries)) != body):
+        return None
+    try:  # empty columns, zeros, row order and range
+        return MeasurementMatrix.from_csc(
+            n, N, np.searchsorted(col, np.arange(N + 1)), row, val, meta=meta)
+    except PreconditionError:
+        return None
+
+
+def _read_lines(path, meta) -> MeasurementMatrix:
     with open(path, "r", newline="") as fh:
         header = fh.readline()
         parts = header.split()

@@ -68,15 +68,16 @@ def randomize_signs(M: MeasurementMatrix, seed: int) -> MeasurementMatrix:
         raise PreconditionError("seed must be a nonnegative integer")
     if not M.is_binary():
         raise NonBinaryInput("randomize_signs needs a 0/1 matrix")
-    cols = []
+    bounds = M.indptr.tolist()
+    bits = np.empty_like(M.data)
     for j in range(M.N):
-        rows, vals = M.column(j)
         rng = np.random.default_rng([seed, j])
-        signs = rng.integers(0, 2, size=vals.size, dtype=np.int64) * 2 - 1
-        cols.append((rows.copy(), signs))
+        lo, hi = bounds[j], bounds[j + 1]
+        bits[lo:hi] = rng.integers(0, 2, size=hi - lo, dtype=np.int64)
     meta = dict(M.meta)
     meta["sign_scheme"] = {"kind": "random_pm1", "seed": int(seed)}
-    return MeasurementMatrix(M.n, M.N, cols, meta=meta, validate=False)
+    return MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices,
+                                      bits * 2 - 1, meta=meta, validate=False)
 
 
 def expected_abs_inner_product(L: int) -> Fraction:
@@ -147,17 +148,18 @@ def balanced_matrix(design: EvaluationDesign,
     pivot = _basis_pivots(design) if field.p == 2 else None
     lam = red.astype(np.int64)  # 1 on red, 0 on blue
     point_base = np.arange(B, dtype=np.int64) * q
-    cols = []
+    rows, signs = [], []
     for digits, vals in evaluation_blocks(field, design.table, range(N)):
         parities = _column_parities(design, digits, pivot)
-        signs = 1 - 2 * ((lam[None, :] + parities) % 2)
-        for row_vals, sgn in zip(vals, signs):
-            cols.append((point_base + row_vals, sgn.astype(np.int64)))
+        rows.append((point_base + vals).ravel())
+        signs.append((1 - 2 * ((lam[None, :] + parities) % 2)).ravel())
     meta = {"family": design.family, "params": design.params,
             "field": field.descriptor,
             "sign_scheme": scheme.describe(),
             "column_support": B, "bound_on_zeros": design.bound_on_zeros}
-    return MeasurementMatrix(q * B, N, cols, meta=meta, validate=False)
+    return MeasurementMatrix.from_csc(q * B, N, np.arange(N + 1) * B,
+                                      np.concatenate(rows), np.concatenate(signs),
+                                      meta=meta, validate=False)
 
 
 @dataclass

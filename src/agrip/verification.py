@@ -82,8 +82,9 @@ def brute_force_coherence(M: MeasurementMatrix,
     if M.N > column_cap:
         raise OracleCapExceeded(
             f"{M.N} columns exceed the oracle cap {column_cap}")
-    cols = [dict(zip(r.tolist(), v.tolist())) for r, v in
-            (M.column(j) for j in range(M.N))]
+    bounds, rows, vals = M.indptr.tolist(), M.indices.tolist(), M.data.tolist()
+    cols = [dict(zip(rows[lo:hi], vals[lo:hi]))
+            for lo, hi in zip(bounds, bounds[1:])]
     sqnorms = [sum(v * v for v in col.values()) for col in cols]
     best = (0, 1)  # (|ip|, ci*cj) with |ip|^2/den maximal
     for i in range(M.N):

@@ -165,6 +165,35 @@ def test_pipeline_and_replay_byte_identical(tmp_path):
         assert (outdir / name).read_bytes() == (replay_dir / name).read_bytes()
 
 
+def test_pipeline_stages_reuse_memory_and_match_the_commands(tmp_path,
+                                                            monkeypatch):
+    import agrip.matrix
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("pipeline read back a file it wrote")
+
+    outdir = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        patch.setattr(agrip.matrix, "read_sparse", no_read)
+        assert run_cli("pipeline", "--family", "devore", "--field", "5",
+                       "--r", "2", "--sign-scheme", "random:4", "--analyze",
+                       "--recover-k", "1..2", "--trials", "10", "--seed", "3",
+                       "--out-dir", str(outdir)) == 0
+    # the same stages as separate commands, each reading its input file
+    matrix = outdir / "matrix.agrip"
+    signed, report, recovery = (tmp_path / name for name in
+                                ("s.agrip", "report.json", "recovery.json"))
+    assert run_cli("sign", "--scheme", "random:4", "--in", str(matrix),
+                   "--design", str(matrix) + ".json", "--out", str(signed)) == 0
+    assert signed.read_bytes() == (outdir / "signed.agrip").read_bytes()
+    signed = outdir / "signed.agrip"
+    assert run_cli("analyze", "--in", str(signed), "--out", str(report)) == 0
+    assert report.read_bytes() == (outdir / "report.json").read_bytes()
+    assert run_cli("recover", "--matrix", str(signed), "--k", "1..2",
+                   "--trials", "10", "--seed", "3", "--out", str(recovery)) == 0
+    assert recovery.read_bytes() == (outdir / "recovery.json").read_bytes()
+
+
 def test_construct_toric_case2_flags(tmp_path):
     out = tmp_path / "t2.agrip"
     assert run_cli("construct", "--family", "toric", "--field", "5",

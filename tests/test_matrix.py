@@ -1,3 +1,4 @@
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from agrip.errors import (
     DegenerateShape,
     FormatError,
     PairScanCapExceeded,
+    PreconditionError,
     SingleColumn,
     ZeroCoherence,
 )
@@ -22,6 +24,7 @@ import agrip.matrix
 from agrip.matrix import (
     DEFAULT_PAIR_CAP,
     MeasurementMatrix,
+    _default_block,
     _gram_scan,
     average_coherence,
     coherence,
@@ -296,6 +299,10 @@ def test_read_sparse_header_errors(tmp_path, text, line, message):
     (_HEADER_2x2 + "0 0 1\n1 0 -0\n", 3, "explicit zero entry"),
     (_HEADER_2x2 + "1 0 1\n0 0 1\n", 3, "entries not sorted by (col, row)"),
     (_HEADER_2x2 + "0 1 1\n0 0 1\n", 3, "entries not sorted by (col, row)"),
+    # rows rising through the out-of-order column: a reader that bucketed
+    # entries without checking the column order would build a valid matrix
+    ("AGRIP-SPARSE 1 3 2 3\n1 0 1\n0 1 1\n1 2 1\n", 3,
+     "entries not sorted by (col, row)"),
     ("AGRIP-SPARSE 1 2 2 3\n0 0 1000000\n1 0 1000000\n", 3,
      "header promises 3 entries, found 2"),
     (_HEADER_2x2 + "0 0 1\n0 1 1\n1 0 1\n", 4,
@@ -306,7 +313,8 @@ def test_read_sparse_header_errors(tmp_path, text, line, message):
      "entries not sorted by (col, row)"),
 ], ids=["blank", "blank-spaces", "extra-field", "word", "decimal-point",
         "column-high", "column-negative", "row-high", "row-negative",
-        "zero", "minus-zero", "column-order", "row-order", "too-few",
+        "zero", "minus-zero", "column-order", "row-order",
+        "column-order-rows-rising", "too-few",
         "too-many", "empty-column", "first-fault-wins"])
 def test_read_sparse_body_errors(tmp_path, text, line, message):
     path = tmp_path / "bad.agrip"
@@ -348,6 +356,89 @@ def test_read_sparse_accepts_non_canonical_spellings(tmp_path):
         again = tmp_path / f"{name}-again.agrip"
         write_sparse(read_sparse(path), again)
         assert again.read_bytes() == canonical.read_bytes(), name
+
+
+@st.composite
+def signed_matrices(draw):
+    """Columns of 1 to n entries with any nonzero int64 values."""
+    n = draw(st.integers(1, 40))
+    value = st.integers(-(2 ** 63), 2 ** 63 - 1).filter(bool)
+    cols = []
+    for _ in range(draw(st.integers(1, 12))):
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                             unique=True))
+        vals = draw(st.lists(value, min_size=len(rows), max_size=len(rows)))
+        cols.append((sorted(rows), vals))
+    return MeasurementMatrix(n, len(cols), cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_matrices())
+@example(MeasurementMatrix(1, 1, [([0], [1])]))
+@example(MeasurementMatrix(1, 3, [([0], [-(2 ** 63)]), ([0], [2 ** 63 - 1]),
+                                  ([0], [-1])]))
+@example(MeasurementMatrix(30, 2, [([29], [7]), (list(range(30)), [-2] * 30)]))
+def test_sparse_format_round_trip_property(M):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = f"{tmp}/a.agrip", f"{tmp}/b.agrip"
+        write_sparse(M, first)
+        back = read_sparse(first)
+        assert back == M
+        write_sparse(back, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_canonical_file_skips_the_line_reader(tmp_path, monkeypatch):
+    M = randomize_signs(devore(make_field(5), 3), 2)
+    path = tmp_path / "m.agrip"
+    write_sparse(M, path)
+    calls = []
+    real = agrip.matrix._read_lines
+    monkeypatch.setattr(agrip.matrix, "_read_lines",
+                        lambda *a: calls.append(a) or real(*a))
+    assert read_sparse(path) == M
+    assert read_sparse(path, meta={"family": "x"}).meta == {"family": "x"}
+    assert calls == []
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_sparse(path) == M
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("indptr,indices,data,message", [
+    ([0, 1, 1], [0], [1], "column 1 is zero"),
+    ([0, 1, 2], [0, 1], [1, 0], "column 1 stores a zero entry"),
+    ([0, 1, 3], [0, 2, 1], [1, 1, 1],
+     "column 1: row indices not strictly increasing"),
+    ([0, 1, 3], [0, 1, 1], [1, 1, 1],
+     "column 1: row indices not strictly increasing"),
+    ([0, 1, 2], [0, 3], [1, 1], "column 1: row index out of range"),
+    ([0, 1, 2], [-1, 0], [1, 1], "column 0: row index out of range"),
+    ([0, 1], [0], [1], "expected 2 columns, got 1"),
+    ([0, 2, 1], [0, 1], [1, 1], "malformed CSC arrays"),
+    ([0, 1, 2], [0, 1], [1], "malformed CSC arrays"),
+], ids=["empty", "zero", "unsorted", "repeated", "row-high", "row-negative",
+        "column-count", "indptr", "lengths"])
+def test_from_csc_validates_the_arrays(indptr, indices, data, message):
+    with pytest.raises(PreconditionError) as err:
+        MeasurementMatrix.from_csc(3, 2, indptr, indices, data)
+    assert str(err.value) == message
+
+
+def test_column_list_and_arrays_give_one_matrix():
+    M = MeasurementMatrix(4, 3, [([1, 3], [2, -1]), ([0], [5]),
+                                 ([0, 1, 2, 3], [1, 1, -1, 1])])
+    A = MeasurementMatrix.from_csc(4, 3, [0, 2, 3, 7], [1, 3, 0, 0, 1, 2, 3],
+                                   [2, -1, 5, 1, 1, -1, 1])
+    assert M == A
+    assert M.nnz == 7
+    assert M.sqnorms().tolist() == [5, 25, 4]
+    assert M.constant_support() is None and not M.is_binary()
+    assert [r.tolist() for r in M.column(2)] == [[0, 1, 2, 3], [1, 1, -1, 1]]
+    csc = A.to_csc()
+    assert csc.indices is A.indices and csc.data is A.data
+    assert np.array_equal(M.to_dense(), [[0, 5, 1], [2, 0, 1], [0, 0, -1],
+                                         [-1, 0, 1]])
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
@@ -425,6 +516,16 @@ def test_gram_scan_does_not_depend_on_the_block_size(M):
         for mode in ("signed", "absolute"):
             assert (average_coherence(M, mode, block=block)
                     == average_coherence(M, mode))
+
+
+def test_default_gram_block_stays_under_the_byte_budget():
+    budget = 64 * 2 ** 20
+    for N in (2, 1000, 8192, 8193, 20_000, 28_561, 10 ** 7, 10 ** 9):
+        rows = _default_block(N)
+        assert 1 <= rows <= 1024
+        assert rows == 1 or rows * N * 8 <= budget
+    assert _default_block(8192) == 1024     # every benchmark matrix
+    assert _default_block(28_561) == 293    # consta-point F_13 t=3
 
 
 def test_report_makes_one_gram_scan(monkeypatch):

@@ -21,11 +21,10 @@ On-disk format AGRIP-SPARSE, bit-exact:
     line 1: "AGRIP-SPARSE 1 <n> <N> <nnz>"
     then one line per nonzero: "<col> <row> <value>", sorted by (col, row),
     0-based indices, decimal integers, "\\n" line endings.
-write_sparse renders the arrays in blocks.  read_sparse parses a file whose
-bytes are exactly that rendering in one numpy call and checks it as arrays;
-any other file (a fault, or a spelling such as "+1", "01", "1_0" or "\\r\\n"
-endings that Python's int() and line splitting accept) goes through the
-line-by-line reader, which raises FormatError at the first bad line.
+write_sparse renders the arrays in blocks of lines.  read_sparse reads line
+by line and raises FormatError at the first bad line; it also accepts any
+spelling that Python's int() and line splitting accept, such as "+1", "01",
+"1_0" or "\\r\\n" endings.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .exact import (
 DEFAULT_PAIR_CAP = 20_000
 _BLOCK = 1024
 _GRAM_BLOCK_ENTRIES = 1 << 23  # 64 MB of int64 per dense Gram block
-_IO_BLOCK = 1 << 16  # entries per rendered block
+_IO_BLOCK = 1 << 16  # lines per rendered block
 FORMAT_NAME = "AGRIP-SPARSE"
 FORMAT_VERSION = 1
 _MIN_ENTRY_BYTES = len("0 0 1\n")
@@ -81,8 +80,9 @@ class MeasurementMatrix:
 
     Column j has the strictly increasing rows indices[indptr[j]:indptr[j+1]]
     and the nonzero values data[indptr[j]:indptr[j+1]]; no column is empty.
-    Immutable after construction.  The constructor concatenates a list of
-    (rows, values) columns; from_csc takes the three arrays as they are.
+    The arrays are read-only, so matrices and to_csc() may share them.  The
+    constructor concatenates a list of (rows, values) columns; from_csc
+    takes the three arrays without a copy and marks them read-only.
     """
 
     __slots__ = ("n", "N", "indptr", "indices", "data", "meta", "_csc",
@@ -109,6 +109,8 @@ class MeasurementMatrix:
         self.n, self.N = int(n), int(N)
         self.indptr, self.indices, self.data = (
             np.asarray(a, dtype=np.int64) for a in (indptr, indices, data))
+        for a in (self.indptr, self.indices, self.data):
+            a.setflags(write=False)  # shared with to_csc() and other matrices
         self.meta = dict(meta or {})
         self._csc = self._sqnorms = None
         if validate:
@@ -140,7 +142,7 @@ class MeasurementMatrix:
     # -- views ------------------------------------------------------------
 
     def column(self, j: int):
-        """(rows, values) slices of column j.  Do not mutate."""
+        """(rows, values) slices of column j."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
@@ -464,57 +466,17 @@ def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
 # -- AGRIP-SPARSE io -----------------------------------------------------------
 
 
-def _entry_blocks(entries: np.ndarray):
-    """AGRIP-SPARSE lines of an (nnz, 3) array of (col, row, value) rows."""
-    for lo in range(0, len(entries), _IO_BLOCK):
-        flat = entries[lo:lo + _IO_BLOCK].ravel().tolist()
-        yield (b"%d %d %d\n" * (len(flat) // 3)) % tuple(flat)
-
-
-def _header(n: int, N: int, nnz: int) -> bytes:
-    return f"{FORMAT_NAME} {FORMAT_VERSION} {n} {N} {nnz}\n".encode()
-
-
 def write_sparse(M: MeasurementMatrix, path) -> None:
-    cols = np.repeat(np.arange(M.N), np.diff(M.indptr))
+    entries = np.column_stack((np.repeat(np.arange(M.N), np.diff(M.indptr)),
+                               M.indices, M.data))
     with open(path, "wb") as fh:
-        fh.write(_header(M.n, M.N, M.nnz))
-        fh.writelines(_entry_blocks(np.column_stack((cols, M.indices, M.data))))
+        fh.write(f"{FORMAT_NAME} {FORMAT_VERSION} {M.n} {M.N} {M.nnz}\n".encode())
+        for lo in range(0, M.nnz, _IO_BLOCK):
+            flat = entries[lo:lo + _IO_BLOCK].ravel().tolist()
+            fh.write((b"%d %d %d\n" * (len(flat) // 3)) % tuple(flat))
 
 
 def read_sparse(path, meta=None) -> MeasurementMatrix:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header, _, body = raw.partition(b"\n")
-    fields = header.split(b" ")
-    if len(fields) == 5 and all(f.isdigit() and len(f) < 20
-                                for f in fields[2:]):
-        n, N, nnz = (int(f) for f in fields[2:])
-        if header + b"\n" == _header(n, N, nnz) and 1 <= N <= nnz:
-            M = _read_canonical(n, N, nnz, body, meta)
-            if M is not None:
-                return M
-    return _read_lines(path, meta)
-
-
-def _read_canonical(n, N, nnz, body, meta):
-    """The matrix if body is write_sparse's rendering of a valid one."""
-    try:  # fails on a stray token and on a count other than 3 * nnz
-        entries = np.fromstring(body, dtype=np.int64, sep=" ").reshape(nnz, 3)
-    except ValueError:
-        return None
-    col, row, val = entries.T.copy()
-    if (col[0] < 0 or col[-1] >= N or np.any(np.diff(col) < 0)
-            or b"".join(_entry_blocks(entries)) != body):
-        return None
-    try:  # empty columns, zeros, row order and range
-        return MeasurementMatrix.from_csc(
-            n, N, np.searchsorted(col, np.arange(N + 1)), row, val, meta=meta)
-    except PreconditionError:
-        return None
-
-
-def _read_lines(path, meta) -> MeasurementMatrix:
     with open(path, "r", newline="") as fh:
         header = fh.readline()
         parts = header.split()

@@ -389,20 +389,17 @@ def test_sparse_format_round_trip_property(M):
             assert a.read() == b.read()
 
 
-def test_canonical_file_skips_the_line_reader(tmp_path, monkeypatch):
-    M = randomize_signs(devore(make_field(5), 3), 2)
-    path = tmp_path / "m.agrip"
-    write_sparse(M, path)
-    calls = []
-    real = agrip.matrix._read_lines
-    monkeypatch.setattr(agrip.matrix, "_read_lines",
-                        lambda *a: calls.append(a) or real(*a))
-    assert read_sparse(path) == M
-    assert read_sparse(path, meta={"family": "x"}).meta == {"family": "x"}
-    assert calls == []
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert read_sparse(path) == M
-    assert len(calls) == 1
+def test_shared_arrays_are_read_only():
+    indptr = np.array([0, 1, 3])
+    A = MeasurementMatrix.from_csc(2, 2, indptr, [0, 0, 1], [1, 1, 1])
+    R = randomize_signs(A, 0)
+    assert R.indices is A.indices
+    for arr in (indptr, A.indptr, A.indices, A.data, R.data,
+                A.to_csc().data, A.column(1)[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert A.column(0)[0].tolist() == [0]
+    assert coherence(R) == coherence(A) == brute_force_coherence(A)
 
 
 @pytest.mark.parametrize("indptr,indices,data,message", [

@@ -4,13 +4,21 @@ Each case runs `agrip pipeline ... --analyze` on one small instance and
 compares the sha256 of every artifact it writes with a constant.  The
 constants were recorded before the families were moved onto one evaluation
 helper and one elimination kernel, so a refactor that changes a matrix, a
-sidecar, a sign or a report number fails here.  `recovery.json` is left out:
+sidecar, a sign or a report number fails here.  `recovery.json` is pinned
+by its own cases below, run in a child process with one BLAS thread, because
 its floats depend on the BLAS thread count.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import agrip
 
 from agrip.cli import main
 
@@ -148,3 +156,63 @@ def test_pipeline_artifacts_match_golden_digests(name, tmp_path):
     written = {a: hashlib.sha256((tmp_path / a).read_bytes()).hexdigest()
                for a in ARTIFACTS if (tmp_path / a).exists()}
     assert written == expected
+
+
+# name -> (pipeline arguments, sha256 of recovery.json)
+RECOVERY_GOLDEN = {
+    # mixed column norms (Construction A), OMP
+    "consta-poles-F7-inf-0-omp": (
+        ("--family", "consta-poles", "--field", "7", "--poles", "inf,0",
+         "--points", "1,2,3,4,5,6", "--recover-k", "1..4", "--trials", "30",
+         "--seed", "2"),
+        "5634a68758ad0e24023cd7fb951d9fd62ac5e5db88cfb37af56f52fc0031e2fb"),
+    # many equal correlations and rank-deficient refits, OST without noise
+    "consta-poles-F5-3-poles-ost": (
+        ("--family", "consta-poles", "--field", "5", "--poles", "inf,0,1",
+         "--points", "2,3,4", "--algorithm", "ost", "--recover-k", "1..4",
+         "--trials", "30", "--seed", "2"),
+        "cb0d5e28854d6201cae9cb093fbd813e154f34346ea5d672889045403e90b9b6"),
+    "devore-F7-r2-ost-noisy": (
+        ("--family", "devore", "--field", "7", "--r", "2", "--algorithm",
+         "ost", "--sigma", "0.01", "--recover-k", "1..5", "--trials", "40",
+         "--seed", "3"),
+        "016e17227e21489a315328a1ff8f05076ef3a522730815fd3da45c6540745507"),
+    "devore-F5-r3-balanced-omp": (
+        ("--family", "devore", "--field", "5", "--r", "3", "--sign-scheme",
+         "balanced", "--recover-k", "1..4", "--trials", "30", "--seed", "4"),
+        "5544bb3ab4cdeaaf49de56e86a6658fbe7e13ab9760cbc86696e93dccc257081"),
+}
+
+_RECOVERY_SCRIPT = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from agrip.cli import main
+digests = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["pipeline", *argv, "--out-dir", out]) == 0
+        body = (Path(out) / "recovery.json").read_bytes()
+        digests[name] = hashlib.sha256(body).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def recovery_digests():
+    """sha256 of each case's recovery.json, from one child process that sets
+    OPENBLAS_NUM_THREADS=1 before numpy is imported."""
+    src = str(Path(agrip.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    cases = {name: argv for name, (argv, _) in RECOVERY_GOLDEN.items()}
+    done = subprocess.run([sys.executable, "-c", _RECOVERY_SCRIPT,
+                           json.dumps(cases)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(RECOVERY_GOLDEN))
+def test_recovery_json_matches_golden_digest(name, recovery_digests):
+    assert recovery_digests[name] == RECOVERY_GOLDEN[name][1]

@@ -6,16 +6,29 @@ solvers: orthogonal matching pursuit for the noiseless mu(2k-1) < 1 regime,
 and one-step thresholding (keep the k largest correlations, then refit) for
 noisy measurements.
 
-Determinism: every trial draws from numpy substreams keyed by
-(seed, k, trial), so reports are reproducible and independent of execution
-order.  The amplitude model is uniform +-1 signs with magnitudes uniform in
-[1, 2], recorded in the report.
+Determinism: every trial draws from its own numpy substream keyed by
+(seed, k, trial), the signal first and then the noise, so reports are
+reproducible and independent of execution order.  The amplitude model is
+uniform +-1 signs with magnitudes uniform in [1, 2], recorded in the report.
+
+Batching: `run_experiment` runs the trials of one k together, in blocks of
+at most `_CORRELATION_BUDGET // N` trials (one at least), so an N x trials
+block of correlations stays near 2 MB.  A block's measurements are built at
+once, and every solver step correlates all the block's unfinished trials
+with one sparse x dense product; the refit stays per trial.  `measure`,
+`omp` and `one_step_thresholding` run the same kernels on one trial.  Each
+correlation is summed in the same order as a single mat-vec, so a report is
+bit for bit the one a trial-by-trial loop gives.
+
+Refit: systems of up to `_EXACT_REFIT_MAX` columns solve the normal
+equations exactly over the rationals (in integers, see `_solve_exact`) and
+round each coefficient once; larger or singular ones use numpy lstsq.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +39,8 @@ from .matrix import MeasurementMatrix
 AMPLITUDE_MODEL = "signs +-1 uniform, magnitudes uniform in [1, 2]"
 _EXACT_REFIT_MAX = 4
 _AMPLITUDE_TOL = 1e-10
+# float64 entries in one N x trials correlation block (2 MB)
+_CORRELATION_BUDGET = 2 ** 18
 
 
 @dataclass
@@ -63,10 +78,41 @@ class RecoveryResult:
 
 
 def normalized_operator(M: MeasurementMatrix) -> sp.csc_matrix:
-    """Unit-column float view of the matrix."""
-    A = M.to_csc().astype(np.float64)
-    norms = np.sqrt(M.sqnorms().astype(np.float64))
-    return A @ sp.diags(1.0 / norms)
+    """Unit-column float view of the matrix.
+
+    Column j holds M's entries of column j in reversed row order, with values
+    `data * (1 / norm_j)`.  The order is the summation order of every
+    correlation `phi.T @ r`, so it fixes the last bits of `recovery.json`;
+    it is the order that `A @ sp.diags(1 / norms)` gave when phi was built
+    that way, and it is kept so that reports stay byte-identical.
+    """
+    col = np.repeat(np.arange(M.N), np.diff(M.indptr))
+    # entry p of column j comes from entry start_j + end_j - 1 - p of M
+    source = (M.indptr[:-1] + M.indptr[1:] - 1)[col] - np.arange(len(col))
+    inverse = 1.0 / np.sqrt(M.sqnorms().astype(np.float64))
+    return sp.csc_matrix(
+        (M.data[source] * inverse[col], M.indices[source], M.indptr),
+        shape=(M.n, M.N))
+
+
+def _dense_column(phi: sp.csc_matrix, i: int) -> np.ndarray:
+    lo, hi = phi.indptr[i], phi.indptr[i + 1]
+    col = np.zeros(phi.shape[0])
+    col[phi.indices[lo:hi]] = phi.data[lo:hi]
+    return col
+
+
+def _measure(phi: sp.csc_matrix, signals, sigma: float, rngs) -> np.ndarray:
+    """One row y = phi x + sigma * g per signal; g is drawn from its rng."""
+    Y = np.zeros((len(signals), phi.shape[0]))
+    for y, x in zip(Y, signals):
+        for idx, val in zip(x.support, x.values):
+            lo, hi = phi.indptr[idx], phi.indptr[idx + 1]
+            y[phi.indices[lo:hi]] += val * phi.data[lo:hi]
+    if sigma:
+        Y = Y + sigma * np.array([rng.standard_normal(phi.shape[0])
+                                  for rng in rngs])
+    return Y
 
 
 def measure(M: MeasurementMatrix, x: SparseSignal, sigma: float = 0.0,
@@ -75,33 +121,27 @@ def measure(M: MeasurementMatrix, x: SparseSignal, sigma: float = 0.0,
     if x.length != M.N:
         raise PreconditionError(f"signal length {x.length} != N = {M.N}")
     phi = normalized_operator(M) if _phi is None else _phi
-    y = np.zeros(M.n)
-    for idx, val in zip(x.support, x.values):
-        col = phi[:, [idx]]
-        y[col.indices] += val * col.data
+    rng = None
     if sigma:
         rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
-        y = y + sigma * rng.standard_normal(M.n)
-    return y
+    return _measure(phi, [x], sigma, [rng])[0]
 
 
 def _refit(cols: np.ndarray, y: np.ndarray):
     """Least squares on the selected columns.
 
-    Tiny systems go through exact rational normal equations (float inputs
-    converted exactly), larger ones through numpy lstsq.  Returns
+    Tiny systems solve the normal equations exactly (float inputs taken as
+    the rationals they are), larger ones go through numpy lstsq.  Returns
     (coefficients, singular_flag).
     """
     k = cols.shape[1]
     gram = cols.T @ cols
     rhs = cols.T @ y
     if k <= _EXACT_REFIT_MAX:
-        G = [[Fraction(float(gram[i, j])) for j in range(k)] for i in range(k)]
-        b = [Fraction(float(v)) for v in rhs]
-        sol, singular = _solve_fraction_system(G, b)
-        if not singular:
-            return np.array([float(v) for v in sol]), False
+        sol = _solve_exact(gram.ravel().tolist(), rhs.tolist())
+        if sol is not None:
+            return np.array(sol), False
         # fall through to lstsq on genuinely rank-deficient systems
     try:
         beta, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
@@ -110,21 +150,40 @@ def _refit(cols: np.ndarray, y: np.ndarray):
         return np.zeros(k), True
 
 
-def _solve_fraction_system(G, b):
-    k = len(b)
-    aug = [row[:] + [b[i]] for i, row in enumerate(G)]
+def _solve_exact(gram: list, rhs: list):
+    """The exact solution of gram x = rhs, each entry rounded once to float,
+    or None when the system is singular.
+
+    `gram` is the k x k matrix flattened row by row.  Every float is a dyadic
+    rational, so scaling all entries by their largest denominator (a power of
+    two) gives an integer system with the same solution.  Fraction-free
+    (Bareiss) Gauss-Jordan elimination keeps every entry an integer, divides
+    exactly and leaves the last pivot d = +-det on the diagonal with d x in
+    the last column.  Int true division rounds d x / d correctly, exactly as
+    `float(Fraction)` does.  The system is singular exactly when a pivot
+    column has no nonzero entry.
+    """
+    k = len(rhs)
+    ratios = [v.as_integer_ratio() for v in gram + rhs]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    aug = [ints[r * k:(r + 1) * k] + [ints[k * k + r]] for r in range(k)]
+    prev = 1
     for c in range(k):
         piv = next((r for r in range(c, k) if aug[r][c]), None)
         if piv is None:
-            return None, True
+            return None
         aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
+        pivot = aug[c]
+        p = pivot[c]
         for r in range(k):
-            if r != c and aug[r][c]:
+            if r != c:
                 f = aug[r][c]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-    return [aug[r][k] for r in range(k)], False
+                aug[r] = [(p * v - f * w) // prev
+                          for v, w in zip(aug[r], pivot)]
+        prev = p
+    # a zero numerator is +0.0, as float(Fraction(0)) gives
+    return [row[k] / prev if row[k] else 0.0 for row in aug]
 
 
 def _signal_from(support, beta, N) -> SparseSignal:
@@ -134,6 +193,75 @@ def _signal_from(support, beta, N) -> SparseSignal:
                         tuple(v for _, v in pairs))
 
 
+def _correlations(phi: sp.csc_matrix, R: np.ndarray) -> np.ndarray:
+    """|phi.T r| for every row r of R, as the columns of an N x rows array.
+
+    scipy's multi-vector product sums each column in the same order as a
+    single mat-vec, so every column has the bits `np.abs(phi.T @ r)` has.
+    """
+    corr = phi.T @ R.T
+    return np.abs(corr, out=corr)
+
+
+def _omp(phi: sp.csc_matrix, Y: np.ndarray, k: int) -> list:
+    """OMP on every row of Y; each step correlates all unfinished trials
+    with one sparse x dense product.  A trial whose refit turns singular
+    drops its last pick and stops."""
+    N = phi.shape[1]
+    columns = {}
+    selected = [[] for _ in Y]
+    betas = [np.zeros(0)] * len(Y)
+    singular = [False] * len(Y)
+    residual = Y.copy()
+    active = list(range(len(Y)))
+    for _ in range(k):
+        if not active:
+            break
+        corr = _correlations(phi, residual[active])
+        for j, t in enumerate(active):
+            corr[selected[t], j] = -1.0
+        picks = corr.argmax(axis=0)  # ties break to the lowest column index
+        still = []
+        for t, idx in zip(active, picks.tolist()):
+            sel = selected[t]
+            sel.append(idx)
+            if idx not in columns:
+                columns[idx] = _dense_column(phi, idx)
+            cols = np.column_stack([columns[i] for i in sel])
+            betas[t], singular[t] = _refit(cols, Y[t])
+            if singular[t]:
+                sel.pop()
+                betas[t] = _refit(cols[:, :-1], Y[t])[0] if sel \
+                    else np.zeros(0)
+            else:
+                residual[t] = Y[t] - cols @ betas[t]
+                still.append(t)
+        active = still
+    return [RecoveryResult(_signal_from(sel, beta, N), sing)
+            for sel, beta, sing in zip(selected, betas, singular)]
+
+
+def _ost(phi: sp.csc_matrix, Y: np.ndarray, k: int) -> list:
+    """One-step thresholding on every row of Y: keep the k largest
+    correlations (ties to the lowest index), then refit."""
+    corr = _correlations(phi, Y)
+    # per column: every value above the k-th largest, then the lowest
+    # indices among the values equal to it
+    kth = np.partition(corr, corr.shape[0] - k, axis=0)[-k]
+    above = corr > kth
+    tied = corr == kth
+    keep = above | (tied & (np.cumsum(tied, axis=0, dtype=np.int32)
+                            <= k - above.sum(axis=0)))
+    supports = np.nonzero(keep.T)[1].reshape(len(Y), k)
+    results = []
+    for y, support in zip(Y, supports.tolist()):
+        cols = np.column_stack([_dense_column(phi, i) for i in support])
+        beta, singular = _refit(cols, y)
+        results.append(
+            RecoveryResult(_signal_from(support, beta, phi.shape[1]), singular))
+    return results
+
+
 def omp(M: MeasurementMatrix, y: np.ndarray, k: int,
         _phi=None) -> RecoveryResult:
     """Orthogonal matching pursuit: k greedy max-correlation selections with
@@ -141,43 +269,21 @@ def omp(M: MeasurementMatrix, y: np.ndarray, k: int,
     if k > M.n:
         raise PreconditionError("k must be <= n")
     phi = normalized_operator(M) if _phi is None else _phi
-    dense_cache = {}
-    residual = y.astype(np.float64).copy()
-    selected: list[int] = []
-    singular = False
-    beta = np.zeros(0)
-    for _ in range(k):
-        corr = np.abs(phi.T @ residual)
-        if selected:
-            corr[selected] = -1.0
-        idx = int(np.argmax(corr))
-        selected.append(idx)
-        for i in selected:
-            if i not in dense_cache:
-                dense_cache[i] = np.asarray(phi[:, [i]].todense()).ravel()
-        cols = np.column_stack([dense_cache[i] for i in selected])
-        beta, singular = _refit(cols, y)
-        if singular:
-            selected.pop()
-            beta, _ = _refit(cols[:, :-1], y) if selected else (np.zeros(0), False)
-            break
-        residual = y - cols @ beta
-    return RecoveryResult(_signal_from(selected, beta, M.N), singular)
+    return _omp(phi, np.asarray(y, dtype=np.float64)[None, :], k)[0]
+
+
+def _check_sparsity(M: MeasurementMatrix, k: int) -> None:
+    k_max = min(M.n, M.N)
+    if not 1 <= k <= k_max:
+        raise PreconditionError(f"sparsity {k} is outside 1..{k_max}")
 
 
 def one_step_thresholding(M: MeasurementMatrix, y: np.ndarray, k: int,
                           _phi=None) -> RecoveryResult:
     """Keep the k largest |<phi_i, y>| and refit; degenerate refits flagged."""
-    if k > M.n:
-        raise PreconditionError("k must be <= n")
+    _check_sparsity(M, k)
     phi = normalized_operator(M) if _phi is None else _phi
-    corr = np.abs(phi.T @ y)
-    order = np.lexsort((np.arange(M.N), -corr))  # stable: value then index
-    support = sorted(int(i) for i in order[:k])
-    cols = np.column_stack(
-        [np.asarray(phi[:, [i]].todense()).ravel() for i in support])
-    beta, singular = _refit(cols, y)
-    return RecoveryResult(_signal_from(support, beta, M.N), singular)
+    return _ost(phi, np.asarray(y, dtype=np.float64)[None, :], k)[0]
 
 
 @dataclass
@@ -230,29 +336,39 @@ def run_experiment(M: MeasurementMatrix, k_values, trials: int,
         raise PreconditionError(f"unknown algorithm {algorithm!r}")
     if not isinstance(seed, int) or seed < 0:
         raise PreconditionError("seed must be a nonnegative integer")
-    solver = omp if algorithm == "omp" else one_step_thresholding
-    phi = normalized_operator(M)
+    if not isinstance(trials, int) or trials < 0:
+        raise PreconditionError("trials must be a nonnegative integer")
+    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma)
+            and sigma >= 0):
+        raise PreconditionError(
+            f"sigma must be a finite nonnegative number, not {sigma!r}")
     k_values = tuple(int(k) for k in k_values)
+    for k in k_values:
+        _check_sparsity(M, k)
+    solver = _omp if algorithm == "omp" else _ost
+    phi = normalized_operator(M)
+    block = max(1, _CORRELATION_BUDGET // M.N)
     rates, errors = {}, {}
     for k in k_values:
         hits = 0
         rel_errs = []
-        for t in range(trials):
-            rng = np.random.default_rng([seed, k, t])
-            x = _draw_signal(rng, M.N, k)
-            y = measure(M, x, sigma=sigma, seed=rng, _phi=phi)
-            result = solver(M, y, k, _phi=phi)
-            est = result.estimate
-            exact_support = est.support == x.support
-            if exact_support and sigma == 0.0:
-                # amplitudes must match too in the noiseless regime
-                exact_support = all(
-                    abs(a - b) <= _AMPLITUDE_TOL
-                    for a, b in zip(est.values, x.values))
-            hits += exact_support
-            xd = x.to_dense()
-            rel_errs.append(float(np.linalg.norm(est.to_dense() - xd)
-                                  / np.linalg.norm(xd)))
+        for first in range(0, trials, block):
+            rngs = [np.random.default_rng([seed, k, t])
+                    for t in range(first, min(trials, first + block))]
+            signals = [_draw_signal(rng, M.N, k) for rng in rngs]
+            Y = _measure(phi, signals, sigma, rngs)
+            for x, result in zip(signals, solver(phi, Y, k)):
+                est = result.estimate
+                exact_support = est.support == x.support
+                if exact_support and sigma == 0.0:
+                    # amplitudes must match too in the noiseless regime
+                    exact_support = all(
+                        abs(a - b) <= _AMPLITUDE_TOL
+                        for a, b in zip(est.values, x.values))
+                hits += exact_support
+                xd = x.to_dense()
+                rel_errs.append(float(np.linalg.norm(est.to_dense() - xd)
+                                      / np.linalg.norm(xd)))
         rates[k] = hits / trials if trials else None
         errors[k] = float(np.mean(rel_errs)) if rel_errs else None
     return ExperimentReport(

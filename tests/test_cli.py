@@ -2,11 +2,13 @@ import json
 import sys
 
 import numpy as np
+import pytest
 
 from agrip.cli import main
 from agrip.fields import make_field
 from agrip.constructions import devore
 from agrip.matrix import read_sparse, write_sparse
+from tests.test_matrix import dense_to_matrix
 
 
 def run_cli(*argv):
@@ -148,6 +150,34 @@ def test_recover_cli(tmp_path):
     report = json.loads(rep.read_text())
     assert report["support_recovery_rate"]["1"] == 1.0
     assert report["support_recovery_rate"]["2"] == 1.0
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", "-2", "trials must be a nonnegative integer"),
+    ("--k", "0..1", "sparsity 0 is outside 1..2"),
+    ("--k", "3", "sparsity 3 is outside 1..2"),  # 2 columns, 4 rows
+    ("--sigma", "nan", "sigma must be a finite nonnegative number"),
+    ("--sigma", "-0.1", "sigma must be a finite nonnegative number"),
+])
+def test_recover_rejects_bad_arguments_with_exit_2(tmp_path, capsys, flag,
+                                                   value, message):
+    matrix = tmp_path / "tall.agrip"
+    write_sparse(dense_to_matrix(np.array([[1, 0], [1, 1], [0, 1], [1, 1]])),
+                 matrix)
+    out = tmp_path / "rec.json"
+    argv = {"--k": "1..2", "--trials": "5", "--sigma": "0.0", flag: value}
+    assert run_cli("recover", "--matrix", str(matrix),
+                   *[v for item in argv.items() for v in item],
+                   "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_recover_rejects_a_bad_sweep_with_exit_2(tmp_path, capsys):
+    assert run_cli("pipeline", "--family", "devore", "--field", "3", "--r", "2",
+                   "--recover-k", "0..1", "--out-dir", str(tmp_path)) == 2
+    assert "sparsity 0 is outside 1..9" in capsys.readouterr().err
+    assert not (tmp_path / "recovery.json").exists()
 
 
 def test_pipeline_and_replay_byte_identical(tmp_path):

@@ -131,8 +131,8 @@ def measure(M: MeasurementMatrix, x: SparseSignal, sigma: float = 0.0,
 def _refit(cols: np.ndarray, y: np.ndarray):
     """Least squares on the selected columns.
 
-    Tiny systems solve the normal equations exactly (float inputs taken as
-    the rationals they are), larger ones go through numpy lstsq.  Returns
+    Tiny systems go through exact rational normal equations (float inputs
+    converted exactly), larger ones through numpy lstsq.  Returns
     (coefficients, singular_flag).
     """
     k = cols.shape[1]

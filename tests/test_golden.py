@@ -199,8 +199,8 @@ print(json.dumps(digests))
 
 @pytest.fixture(scope="module")
 def recovery_digests():
-    """sha256 of each case's recovery.json, from one child process that sets
-    OPENBLAS_NUM_THREADS=1 before numpy is imported."""
+    """sha256 of each case's recovery.json, from one child process started
+    with OPENBLAS_NUM_THREADS=1, so the setting holds before numpy loads."""
     src = str(Path(agrip.__file__).resolve().parent.parent)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(

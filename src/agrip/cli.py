@@ -215,18 +215,37 @@ def cmd_sign(args) -> int:
 # -- analyze ---------------------------------------------------------------------
 
 _ANALYZE_KEYS = ("family", "params", "field", "sign_scheme")
+_FUNCTION_SPACE_FAMILIES = ("devore", "projspace", "ruled", "toric")
 
 
-def _certificate_if_balanced(M, report, log_base):
+def _design_of(meta):
+    """The evaluation design that unsigned or balanced metadata of a
+    function-space family names, else None."""
+    kind = (meta.get("sign_scheme") or {}).get("kind")
+    if (meta.get("family") not in _FUNCTION_SPACE_FAMILIES
+            or kind not in ("all_ones", "balanced")):
+        return None
+    return cons.build_design(meta["family"], parse_descriptor(meta["field"]),
+                             meta["params"])
+
+
+def _is_function_space(M, design) -> bool:
+    """Whether M is, array for array, the matrix its metadata names: the
+    unsigned evaluation matrix of design, or its balanced signing with p odd.
+    Only such a matrix may skip the pairwise scan (see
+    matrix._function_space_scan)."""
+    if (design is None or M.N != design.num_columns
+            or M.N > cons.MATERIALIZE_CAP):
+        return False
+    if M.meta["sign_scheme"]["kind"] == "all_ones":
+        return M == cons.evaluation_matrix(design)
+    return design.field.p != 2 and M == sg.balanced_matrix(design)
+
+
+def _certificate_if_balanced(M, design, report, log_base):
     """The balanced certificate, reusing the report's mu and omega_signed."""
-    meta = M.meta
-    sign_kind = (meta.get("sign_scheme") or {}).get("kind")
-    if sign_kind != "balanced":
+    if design is None or M.meta["sign_scheme"]["kind"] != "balanced":
         return None
-    if meta.get("family") not in ("devore", "projspace", "ruled", "toric"):
-        return None
-    field = parse_descriptor(meta["field"])
-    design = cons.build_design(meta["family"], field, meta["params"])
     cert = sg.certify_strong_coherence(M, design, log_base=log_base,
                                        _mu=report.mu,
                                        _omega=report.omega_signed)
@@ -236,13 +255,15 @@ def _certificate_if_balanced(M, report, log_base):
 def _analysis(M, args) -> dict:
     """The analyze payload: M's report, its sign scheme and, for balanced
     designs, the certificate; M.meta holds the sidecar's _ANALYZE_KEYS."""
+    design = _design_of(M.meta)
     report = mx.coherence_report(M, log_base=args.log_base,
                                  omega_mode=args.omega_mode,
-                                 pair_cap=args.pair_cap)
+                                 pair_cap=args.pair_cap,
+                                 function_space=_is_function_space(M, design))
     payload = report.to_dict()
     if M.meta.get("sign_scheme") is not None:
         payload["sign_scheme"] = M.meta["sign_scheme"]
-    certificate = _certificate_if_balanced(M, report, args.log_base)
+    certificate = _certificate_if_balanced(M, design, report, args.log_base)
     if certificate is not None:
         payload["strong_coherence_certificate"] = certificate
     return payload
@@ -362,11 +383,18 @@ def _with_meta(M, meta):
 
 
 def cmd_pipeline(args) -> int:
+    # the recovery arguments are checked before anything is built or written,
+    # the sweep's range as soon as the matrix exists
+    if args.recover_k:
+        k_values = _parse_k_range(args.recover_k)
+        rec.check_experiment(args.trials, args.sigma, args.seed, args.algorithm)
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     matrix_path = outdir / "matrix.agrip"
     construct_args = argparse.Namespace(**{**vars(args), "out": str(matrix_path)})
     M = _build_matrix(construct_args)
+    if args.recover_k:
+        k_values = rec.check_sweep(M, k_values)
+    outdir.mkdir(parents=True, exist_ok=True)
     mx.write_sparse(M, matrix_path)
     _dump_json(_matrix_sidecar(M), _sidecar_for(matrix_path))
     artifacts = [matrix_path, Path(_sidecar_for(matrix_path))]
@@ -390,9 +418,7 @@ def cmd_pipeline(args) -> int:
 
     if args.recover_k:
         recover_path = outdir / "recovery.json"
-        report = rec.run_experiment(_with_meta(Mc, {}),
-                                    _parse_k_range(args.recover_k),
-                                    args.trials, sigma=args.sigma,
+        report = rec.run_experiment(_with_meta(Mc, {}), k_values, args.trials, sigma=args.sigma,
                                     seed=args.seed, algorithm=args.algorithm)
         _dump_json(report.to_dict(), recover_path)
         artifacts.append(recover_path)

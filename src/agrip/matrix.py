@@ -12,10 +12,16 @@ general SurdSum.
 
 All three come from one blocked int64 Gram pass that keeps, per squared-norm
 group, the signed and absolute row sums and the largest |<phi_i,phi_j>|.
+The pairwise scan is capped (default 20000 columns); above the cap it
+refuses to run rather than blow up at O(N^2).
 
-The pairwise scan is capped (default 20000 columns).  Above the cap the exact
-coherence must come from the function-space difference trick in
-``agrip.verification``; the scan refuses to run rather than blow up at O(N^2).
+A function-space matrix (evaluation_matrix of an F_q-linear design, or its
+balanced signing with p odd) needs no pairwise scan: G_fg = +-#zeros(f - g),
+so every Gram row is a permutation of the row of the zero function, column 0.
+_function_space_scan builds the same tuple from three O(nnz) products and no
+pair cap applies.  The caller vouches for the structure (the CLI compares M
+with the matrix rebuilt from its sidecar); coherence_report(function_space=
+True) takes that path.
 
 On-disk format AGRIP-SPARSE, bit-exact:
     line 1: "AGRIP-SPARSE 1 <n> <N> <nnz>"
@@ -258,6 +264,34 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int,
                      np.vstack([p[1] for p in parts]), pair_max)
 
 
+def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
+    """The _gram_scan tuple of a function-space matrix, from three products.
+
+    M must be evaluation_matrix(design) or its balanced signing with p odd;
+    this is not checked.  Column 0 is the zero function, so with |A| the
+    unsigned matrix, row 0 of |A|^T |A| holds every |G_fg| = #zeros(f - g).
+    The balanced signs factor as (sign of the point) * (sign of the column),
+    so |G| = |A|^T |A|, and the row sums of G and |G| are A^T (A 1) and
+    |A|^T (|A| 1), less the diagonal c.
+    """
+    if M.N < 2:
+        raise SingleColumn("coherence metrics need at least two columns")
+    c = M.sqnorms()
+    if np.any(c != c[0]):
+        raise PreconditionError("a function-space matrix has one column norm")
+    A = M.to_csc()
+    absA = A if M.is_binary() else abs(A)
+    zero_function = np.zeros(M.n, dtype=np.int64)
+    zero_function[M.column(0)[0]] = 1
+    row0 = absA.T @ zero_function
+    row0[0] = 0
+    ones = np.ones(M.N, dtype=np.int64)
+    signed = A.T @ (A @ ones) - c
+    absolute = signed if absA is A else absA.T @ (absA @ ones) - c
+    return _GramScan(c[:1], c, signed[:, None], absolute[:, None],
+                     row0.max(keepdims=True)[:, None])
+
+
 def _coherence_from(scan: _GramScan):
     values = scan.values.tolist()
     best = (0, 1)  # (|G_ij|, c_i c_j) with |G_ij|^2 / (c_i c_j) maximal
@@ -442,8 +476,12 @@ class CoherenceReport:
 
 def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
                      omega_mode: str = "signed",
-                     pair_cap: int = DEFAULT_PAIR_CAP) -> CoherenceReport:
-    scan = _gram_scan(M, pair_cap)
+                     pair_cap: int = DEFAULT_PAIR_CAP,
+                     function_space: bool = False) -> CoherenceReport:
+    """The exact report from one scan: _gram_scan under pair_cap, or, when
+    the caller has established that M is a function-space matrix (see
+    _function_space_scan), the uncapped O(nnz) scan."""
+    scan = _function_space_scan(M) if function_space else _gram_scan(M, pair_cap)
     mu = _coherence_from(scan)
     omega_signed = _average_coherence_from(scan, "signed")
     omega_absolute = _average_coherence_from(scan, "absolute")

@@ -328,10 +328,9 @@ def _draw_signal(rng: np.random.Generator, N: int, k: int) -> SparseSignal:
                         tuple(float(v) for v in signs * mags))
 
 
-def run_experiment(M: MeasurementMatrix, k_values, trials: int,
-                   sigma: float = 0.0, seed: int = 0,
-                   algorithm: str = "omp") -> ExperimentReport:
-    """Per-k support-recovery rate and mean relative l2 error."""
+def check_experiment(trials: int, sigma: float = 0.0, seed: int = 0,
+                     algorithm: str = "omp") -> None:
+    """The checks of run_experiment's arguments that need no matrix."""
     if algorithm not in ("omp", "ost"):
         raise PreconditionError(f"unknown algorithm {algorithm!r}")
     if not isinstance(seed, int) or seed < 0:
@@ -342,9 +341,22 @@ def run_experiment(M: MeasurementMatrix, k_values, trials: int,
             and sigma >= 0):
         raise PreconditionError(
             f"sigma must be a finite nonnegative number, not {sigma!r}")
+
+
+def check_sweep(M: MeasurementMatrix, k_values) -> tuple:
+    """The sweep as a tuple of ints, each checked to lie in 1..min(n, N)."""
     k_values = tuple(int(k) for k in k_values)
     for k in k_values:
         _check_sparsity(M, k)
+    return k_values
+
+
+def run_experiment(M: MeasurementMatrix, k_values, trials: int,
+                   sigma: float = 0.0, seed: int = 0,
+                   algorithm: str = "omp") -> ExperimentReport:
+    """Per-k support-recovery rate and mean relative l2 error."""
+    check_experiment(trials, sigma, seed, algorithm)
+    k_values = check_sweep(M, k_values)
     solver = _omp if algorithm == "omp" else _ost
     phi = normalized_operator(M)
     block = max(1, _CORRELATION_BUDGET // M.N)

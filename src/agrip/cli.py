@@ -418,8 +418,9 @@ def cmd_pipeline(args) -> int:
 
     if args.recover_k:
         recover_path = outdir / "recovery.json"
-        report = rec.run_experiment(_with_meta(Mc, {}), k_values, args.trials, sigma=args.sigma,
-                                    seed=args.seed, algorithm=args.algorithm)
+        report = rec.run_experiment(_with_meta(Mc, {}), k_values, args.trials,
+                                    sigma=args.sigma, seed=args.seed,
+                                    algorithm=args.algorithm)
         _dump_json(report.to_dict(), recover_path)
         artifacts.append(recover_path)
 

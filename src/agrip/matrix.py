@@ -231,8 +231,9 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int,
         raise SingleColumn("coherence metrics need at least two columns")
     if M.N > pair_cap:
         raise PairScanCapExceeded(
-            f"{M.N} columns exceed the pairwise cap {pair_cap}; use the "
-            "difference-trick path or raise the cap explicitly")
+            f"{M.N} columns exceed the pairwise cap {pair_cap}; raise the "
+            "cap explicitly (only unsigned or odd-p balanced function-space "
+            "matrices are reported without the pairwise scan)")
     order = np.argsort(M.sqnorms(), kind="stable")
     c = M.sqnorms()[order]
     values, starts = np.unique(c, return_index=True)
@@ -277,8 +278,6 @@ def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
     if M.N < 2:
         raise SingleColumn("coherence metrics need at least two columns")
     c = M.sqnorms()
-    if np.any(c != c[0]):
-        raise PreconditionError("a function-space matrix has one column norm")
     A = M.to_csc()
     absA = A if M.is_binary() else abs(A)
     zero_function = np.zeros(M.n, dtype=np.int64)
@@ -481,7 +480,8 @@ def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
     """The exact report from one scan: _gram_scan under pair_cap, or, when
     the caller has established that M is a function-space matrix (see
     _function_space_scan), the uncapped O(nnz) scan."""
-    scan = _function_space_scan(M) if function_space else _gram_scan(M, pair_cap)
+    scan = (_function_space_scan(M) if function_space
+            else _gram_scan(M, pair_cap))
     mu = _coherence_from(scan)
     omega_signed = _average_coherence_from(scan, "signed")
     omega_absolute = _average_coherence_from(scan, "absolute")

@@ -326,3 +326,77 @@ def test_balanced_certificate_reuses_report_numbers(tmp_path, monkeypatch):
     cert = report["strong_coherence_certificate"]
     assert cert["mu"] == report["mu"]
     assert cert["omega_signed"] == report["omega_signed"]
+
+
+def test_pair_cap_bounds_only_the_pairwise_scan(tmp_path):
+    # balanced devore F_5 r=2 (N = 25) is reported from its function space
+    reports = []
+    for cap in ("10", "20000"):
+        outdir = tmp_path / f"bal-{cap}"
+        assert run_cli("pipeline", "--family", "devore", "--field", "5",
+                       "--r", "2", "--sign-scheme", "balanced", "--analyze",
+                       "--pair-cap", cap, "--out-dir", str(outdir)) == 0
+        reports.append((outdir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    # random signs do not factor, so that matrix still needs the pair scan
+    assert run_cli("pipeline", "--family", "devore", "--field", "5", "--r", "2",
+                   "--sign-scheme", "random:1", "--analyze", "--pair-cap", "10",
+                   "--out-dir", str(tmp_path / "random")) == 3
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--recover-k", "0..1", "sparsity 0 is outside 1..9"),
+    ("--recover-k", "1..10", "sparsity 10 is outside 1..9"),
+    ("--recover-k", "1..x", "sparsity 'x' is not an integer"),
+    ("--trials", "-1", "trials must be a nonnegative integer"),
+    ("--sigma", "nan", "sigma must be a finite nonnegative number"),
+    ("--sigma", "-0.1", "sigma must be a finite nonnegative number"),
+])
+def test_pipeline_checks_recovery_arguments_before_writing(tmp_path, capsys,
+                                                           flag, value,
+                                                           message):
+    outdir = tmp_path / "out"
+    argv = {"--recover-k": "1..2", "--trials": "5", "--sigma": "0.0",
+            flag: value}
+    assert run_cli("pipeline", "--family", "devore", "--field", "3", "--r", "2",
+                   "--analyze", *[v for item in argv.items() for v in item],
+                   "--out-dir", str(outdir)) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_tampered_function_space_file_takes_the_pairwise_scan(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    import agrip.matrix
+    from agrip.matrix import MeasurementMatrix, coherence_report
+
+    calls = []
+    real = agrip.matrix._gram_scan
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(agrip.matrix, "_gram_scan", counting)
+    built = tmp_path / "d.agrip"
+    assert run_cli("construct", "--family", "devore", "--field", "5",
+                   "--r", "3", "--out", str(built)) == 0
+    signed = tmp_path / "s.agrip"
+    assert run_cli("sign", "--scheme", "balanced", "--in", str(built),
+                   "--design", str(built) + ".json", "--out", str(signed)) == 0
+    assert run_cli("analyze", "--in", str(signed)) == 0
+    capsys.readouterr()
+    assert calls == []
+    # flip the sign of one entry and keep the sidecar as it was
+    M = read_sparse(signed)
+    data = M.data.copy()
+    data[M.indptr[7] + 2] *= -1
+    tampered = MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices, data)
+    write_sparse(tampered, signed)
+    assert run_cli("analyze", "--in", str(signed)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    expected = coherence_report(tampered).to_dict()
+    for key in ("mu", "omega_signed", "omega_absolute", "strong_coherence"):
+        assert report[key] == expected[key]

@@ -16,7 +16,10 @@ Families:
   on the projective line with pole bookkeeping rows, giving signed integer
   entries (-1 per simple pole, -deg(f) at a single point of order-t poles).
 * plane_curve_matrix(field, r): incidence of P^2(F_q) points with smooth
-  degree-r plane curves, one column per scalar class of smooth forms.
+  degree-r plane curves, one column per scalar class of smooth forms.  One
+  marker, _mark_singular, finds the singular forms on every base field: the
+  conditions at each point of P^2(F_{q^k}), k <= 3, are written in
+  F_q-coordinates by a table lookup and their nullspaces marked.
 * fermat_hyperplane_matrix(field): incidence of the degree-(q+1) Fermat
   surface's rational points in P^3(F_{q^2}) with all hyperplanes (the
   coefficient rows are the hyperplanes' linear forms).
@@ -477,135 +480,80 @@ def _mark_singular_points(mask: np.ndarray, field: FieldSpec, rows):
                 mask[vecs @ weights] = True
 
 
-def _mark_singular_prime(field, r, k, mask):
-    """Vectorized singular-locus marking for prime base fields."""
-    p = field.p
-    E, _ = extension_with_embedding(field, k)
-    pts = _p2_points(E)
-    X = np.array(pts, dtype=np.int64)  # (npts, 3)
-    monos = _plane_monomials(r)
-    m = len(monos)
-    npts = X.shape[0]
-    cond = np.zeros((npts, 4, m), dtype=np.int64)
-    for t, (i, j, l) in enumerate(monos):
-        xi = E.np_pow(X[:, 0], i)
-        yj = E.np_pow(X[:, 1], j)
-        zl = E.np_pow(X[:, 2], l)
-        cond[:, 0, t] = E.np_mul(E.np_mul(xi, yj), zl)
-        for axis, (e0, rest) in enumerate(
-                [(i, (E.np_pow(X[:, 0], max(i - 1, 0)), yj, zl)),
-                 (j, (xi, E.np_pow(X[:, 1], max(j - 1, 0)), zl)),
-                 (l, (xi, yj, E.np_pow(X[:, 2], max(l - 1, 0))))]):
-            ce = e0 % p
-            if ce:
-                v = E.np_mul(E.np_mul(rest[0], rest[1]), rest[2])
-                cond[:, 1 + axis, t] = E.np_mul(np.int64(ce), v)
-    digs = E.np_digits()[cond]                       # (npts, 4, m, k)
-    rows = digs.transpose(0, 1, 3, 2).reshape(npts, 4 * k, m)
-    _mark_singular_points(mask, field, rows)
-
-
 def _subfield_coordinate_map(field, ext, emb, k):
-    """Return a function giving F_q-coordinates of extension elements.
+    """(ext.q, k) table: row c holds the F_q-coordinates of extension code c.
 
-    Uses the F_q-basis 1, w, ..., w^{k-1} of the extension, where w is the
-    class of x in the extension's own polynomial representation.
+    The coordinates are in the F_q-basis 1, w, ..., w^{k-1} of the extension,
+    where w is the class of x in the extension's own polynomial
+    representation (so w^j has code p^j), each coordinate written as its
+    F_q code.  On a prime field the table is ext.np_digits(); at k = 1 it is
+    the column of codes itself.
     """
     p, s = field.p, field.s
     n = s * k
-    w = p  # code of the class of x in the extension
-    w_pows = [ext.pow(w, j) for j in range(k)]
-    cols = []
-    for j in range(k):
-        for a in range(s):
-            e = ext.mul(emb[p ** a], w_pows[j])  # image of x^a times w^j
-            cols.append(ext.decode(e))
-    A = np.array(cols, dtype=np.int64).T % p  # (n, n): digits are rows
+    # image of x^a times w^j, ordered (j, a); its digits are a column of A
+    basis = ext.np_mul(emb[p ** np.arange(s)][None, :],
+                       (p ** np.arange(k, dtype=np.int64))[:, None])
+    A = ext.np_digits()[basis.ravel()].T
     # invert A over F_p: the RREF of [A | I] is [I | A^-1]
     reduced, pivots = _rref(make_field(p),
                             np.hstack([A, np.eye(n, dtype=np.int64)]))
     if not pivots[:n].all():
         raise AssertionError("subfield basis is degenerate")
-    Ainv = reduced[:, n:]
-
-    def coords(code):
-        digits = np.array(ext.decode(code), dtype=np.int64)
-        y = (Ainv @ digits) % p
-        return [int(sum(int(y[j * s + a]) * field.p ** a for a in range(s)))
-                for j in range(k)]
-
-    return coords
+    coords = (ext.np_digits() @ reduced[:, n:].T) % p  # digit j * s + a
+    return coords.reshape(ext.q, k, s) @ (p ** np.arange(s, dtype=np.int64))
 
 
-def _mark_singular_generic(field, r, k, mask):
-    """Per-point singular-locus marking valid for any base field."""
+def _mark_singular(field, r, k, mask):
+    """Mark every degree-r form singular at a point of P^2(F_{q^k}).
+
+    At each point the form's value and its three partials are F_{q^k}-linear
+    in the m coefficients; their condition codes, written in F_q-coordinates
+    through _subfield_coordinate_map, give 4k linear conditions over F_q
+    whose nullspaces _mark_singular_points marks.
+    """
+    p = field.p
     E, emb = extension_with_embedding(field, k)
-    coords = (None if k == 1 else _subfield_coordinate_map(field, E, emb, k))
+    X = np.array(_p2_points(E), dtype=np.int64)  # (npts, 3)
+    pows = [[E.np_pow(X[:, a], e) for e in range(r + 1)] for a in range(3)]
+
+    def monomial(exps):
+        return E.np_mul(E.np_mul(pows[0][exps[0]], pows[1][exps[1]]),
+                        pows[2][exps[2]])
+
     monos = _plane_monomials(r)
-    m = len(monos)
-    stack = []
-    for pt in _p2_points(E):
-        raw = []
-        for which in range(4):
-            row = []
-            for (i, j, l) in monos:
-                if which == 0:
-                    e = (i, j, l)
-                    scale = 1
-                elif which == 1:
-                    e, scale = (i - 1, j, l), i % field.p
-                elif which == 2:
-                    e, scale = (i, j - 1, l), j % field.p
-                else:
-                    e, scale = (i, j, l - 1), l % field.p
-                if scale == 0 or min(e) < 0:
-                    row.append(0)
-                    continue
-                v = E.mul(E.mul(E.pow(pt[0], e[0]), E.pow(pt[1], e[1])),
-                          E.pow(pt[2], e[2]))
-                row.append(E.mul(emb[scale], v))
-            raw.append(row)
-        if k == 1:
-            rows = raw
-        else:
-            rows = []
-            for row in raw:
-                comp = [coords(v) for v in row]
-                for j in range(k):
-                    rows.append([comp[t][j] for t in range(m)])
-        stack.append(rows)
-    _mark_singular_points(mask, field, stack)
+    npts, m = X.shape[0], len(monos)
+    cond = np.zeros((npts, 4, m), dtype=np.int64)
+    for t, exps in enumerate(monos):
+        cond[:, 0, t] = monomial(exps)
+        for axis, e in enumerate(exps):
+            scale = emb[e % p]
+            if scale:
+                lowered = tuple(d - (a == axis) for a, d in enumerate(exps))
+                cond[:, 1 + axis, t] = E.np_mul(scale, monomial(lowered))
+    coords = _subfield_coordinate_map(field, E, emb, k)[cond]  # (npts, 4, m, k)
+    rows = coords.transpose(0, 1, 3, 2).reshape(npts, 4 * k, m)
+    _mark_singular_points(mask, field, rows)
 
 
-def plane_singular_mask(field: FieldSpec, r: int, extension_depth: int = 3,
-                        enum_cap: int = PLANE_ENUM_CAP,
-                        method: str = "auto") -> np.ndarray:
+def plane_singular_mask(field: FieldSpec, r: int) -> np.ndarray:
     """Boolean mask over all q^m coefficient tuples: True = singular form.
 
     A form is singular iff it and its three partials share a projective zero
-    over F_{q^k} for some k <= extension_depth; k <= 3 suffices for r <= 3.
-    method: "auto" uses the batched scan on prime fields and the pointwise
-    scan otherwise; "batched" / "pointwise" force one (the pointwise scan is
-    valid for every field and serves as a cross-check).
+    over some extension F_{q^k}.  For r in {2, 3} the singular points of a
+    singular form include a Galois orbit of at most 3 points, so k <= 3
+    suffices and the scan over k = 1, 2, 3 is fixed.
     """
     if r not in (2, 3):
         raise PreconditionError(f"degree r must be 2 or 3, got {r}")
-    if method not in ("auto", "batched", "pointwise"):
-        raise PreconditionError(f"unknown method {method!r}")
     m = len(_plane_monomials(r))
     total = field.q ** m
-    if total > enum_cap:
+    if total > PLANE_ENUM_CAP:
         raise EnumerationCapExceeded(
-            f"q^{m} = {total} coefficient tuples exceed the cap {enum_cap}")
-    if method == "batched" and field.s != 1:
-        raise PreconditionError("the batched scan needs a prime base field")
-    use_batched = field.s == 1 if method == "auto" else method == "batched"
+            f"q^{m} = {total} coefficient tuples exceed the cap {PLANE_ENUM_CAP}")
     mask = np.zeros(total, dtype=bool)
-    for k in range(1, extension_depth + 1):
-        if use_batched:
-            _mark_singular_prime(field, r, k, mask)
-        else:
-            _mark_singular_generic(field, r, k, mask)
+    for k in (1, 2, 3):
+        _mark_singular(field, r, k, mask)
     mask[0] = True  # the zero form is not a curve
     return mask
 
@@ -662,10 +610,9 @@ class PlaneCurveCensus:
         return self.bound_vacuous or self.tuple_count >= self.lower_bound
 
 
-def plane_curve_census(field: FieldSpec, r: int, extension_depth: int = 3,
-                       enum_cap: int = PLANE_ENUM_CAP) -> PlaneCurveCensus:
+def plane_curve_census(field: FieldSpec, r: int) -> PlaneCurveCensus:
     q = field.q
-    mask = plane_singular_mask(field, r, extension_depth, enum_cap)
+    mask = plane_singular_mask(field, r)
     tuple_count = int((~mask).sum())
     reps = _scalar_class_rep_mask(q, len(_plane_monomials(r))) & ~mask
     class_count = int(reps.sum())
@@ -694,8 +641,7 @@ def _zero_set_matrix(field: FieldSpec, table: np.ndarray, codes,
     return _matrix_from_blocks(table.shape[1], sizes, rows, ones, meta)
 
 
-def plane_curve_matrix(field: FieldSpec, r: int, extension_depth: int = 3,
-                       enum_cap: int = PLANE_ENUM_CAP) -> MeasurementMatrix:
+def plane_curve_matrix(field: FieldSpec, r: int) -> MeasurementMatrix:
     """Incidence of P^2(F_q) points with smooth degree-r curves.
 
     One column per scalar class of smooth forms (first nonzero coefficient
@@ -705,7 +651,7 @@ def plane_curve_matrix(field: FieldSpec, r: int, extension_depth: int = 3,
     q = field.q
     monos = _plane_monomials(r)
     m = len(monos)
-    mask = plane_singular_mask(field, r, extension_depth, enum_cap)
+    mask = plane_singular_mask(field, r)
     reps = np.nonzero(_scalar_class_rep_mask(q, m) & ~mask)[0]
     pts = _p2_points(field)
     X = np.array(pts, dtype=np.int64)

@@ -116,16 +116,15 @@ def _measure(phi: sp.csc_matrix, signals, sigma: float, rngs) -> np.ndarray:
 
 
 def measure(M: MeasurementMatrix, x: SparseSignal, sigma: float = 0.0,
-            seed=None, _phi=None) -> np.ndarray:
+            seed=None) -> np.ndarray:
     """y = Phi_normalized x + sigma * g with seeded Gaussian g."""
     if x.length != M.N:
         raise PreconditionError(f"signal length {x.length} != N = {M.N}")
-    phi = normalized_operator(M) if _phi is None else _phi
     rng = None
     if sigma:
         rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
-    return _measure(phi, [x], sigma, [rng])[0]
+    return _measure(normalized_operator(M), [x], sigma, [rng])[0]
 
 
 def _refit(cols: np.ndarray, y: np.ndarray):
@@ -262,28 +261,26 @@ def _ost(phi: sp.csc_matrix, Y: np.ndarray, k: int) -> list:
     return results
 
 
-def omp(M: MeasurementMatrix, y: np.ndarray, k: int,
-        _phi=None) -> RecoveryResult:
-    """Orthogonal matching pursuit: k greedy max-correlation selections with
-    a least-squares refit after each; ties break to the lowest column index."""
-    if k > M.n:
-        raise PreconditionError("k must be <= n")
-    phi = normalized_operator(M) if _phi is None else _phi
-    return _omp(phi, np.asarray(y, dtype=np.float64)[None, :], k)[0]
-
-
 def _check_sparsity(M: MeasurementMatrix, k: int) -> None:
     k_max = min(M.n, M.N)
     if not 1 <= k <= k_max:
         raise PreconditionError(f"sparsity {k} is outside 1..{k_max}")
 
 
-def one_step_thresholding(M: MeasurementMatrix, y: np.ndarray, k: int,
-                          _phi=None) -> RecoveryResult:
+def omp(M: MeasurementMatrix, y: np.ndarray, k: int) -> RecoveryResult:
+    """Orthogonal matching pursuit: k greedy max-correlation selections with
+    a least-squares refit after each; ties break to the lowest column index."""
+    _check_sparsity(M, k)
+    return _omp(normalized_operator(M),
+                np.asarray(y, dtype=np.float64)[None, :], k)[0]
+
+
+def one_step_thresholding(M: MeasurementMatrix, y: np.ndarray,
+                          k: int) -> RecoveryResult:
     """Keep the k largest |<phi_i, y>| and refit; degenerate refits flagged."""
     _check_sparsity(M, k)
-    phi = normalized_operator(M) if _phi is None else _phi
-    return _ost(phi, np.asarray(y, dtype=np.float64)[None, :], k)[0]
+    return _ost(normalized_operator(M),
+                np.asarray(y, dtype=np.float64)[None, :], k)[0]
 
 
 @dataclass

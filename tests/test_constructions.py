@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -193,11 +194,21 @@ def test_conic_census_f2_exhaustive_over_63_tuples():
     assert census.class_count == count  # q - 1 = 1
 
 
-def test_pointwise_scan_matches_batched_scan_on_prime_field():
-    for r in (2, 3):
-        m1 = plane_singular_mask(make_field(3), r, method="batched")
-        m2 = plane_singular_mask(make_field(3), r, method="pointwise")
-        assert np.array_equal(m1, m2)
+@pytest.mark.parametrize("p,s,r,digest", [
+    (3, 1, 3, "0cce76ad2634923501326d1db9f55e8b"
+              "22d0ae5182bd05ac4e507ee63597faee"),
+    (2, 2, 2, "89649e21c7fa5e26403b4403002782c2"
+              "a668ac72b40fd1f316b70d7ce3504890"),
+    (2, 2, 3, "3b6d7372d45d6c6dc2af2216eb663273"
+              "2efce9c9e6483cc1b097f98fc949948d"),
+], ids=["F3-r3", "F4-r2", "F4-r3"])
+def test_singular_mask_matches_pinned_digest(p, s, r, digest):
+    """The digests were recorded from the two-marker engine (a vectorized
+    scan on prime fields, a per-point scan on extension fields) before the
+    two were merged into one marker; they pin the mask on a prime field and
+    on an extension field."""
+    mask = plane_singular_mask(make_field(p, s), r)
+    assert hashlib.sha256(np.packbits(mask)).hexdigest() == digest
 
 
 def _expected_smooth_conic_classes(q):
@@ -257,7 +268,8 @@ def test_cubic_census_f2_independent_per_form():
 def test_cubic_census_f3_matches_independent_dense_scan():
     # different route to the same mask: dense evaluation of every form and
     # its partials over each extension via digit-expanded integer matmuls
-    # (the engine marks nullspaces pointwise instead); char 3 exercises the
+    # (the engine solves each point's linear conditions over F_q and marks
+    # their nullspaces instead); char 3 exercises the
     # degenerate-Euler case for cubics
     from agrip.fields import extension_with_embedding
     from agrip.constructions import coefficient_digits

@@ -95,6 +95,14 @@ def test_omp_singular_subproblem_flagged():
     assert len(result.estimate.support) <= 1
 
 
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_omp_rejects_sparsity_outside_one_to_min_n_n(k):
+    # 4 x 2: the sparsity must lie in 1..min(n, N) = 1..2, as for OST
+    M = dense_to_matrix(np.array([[1, 0], [0, 1], [1, 1], [0, 1]]))
+    with pytest.raises(PreconditionError, match="sparsity"):
+        omp(M, np.ones(4), k)
+
+
 def test_one_step_thresholding_identity():
     M = identity_matrix(4)
     y = measure(M, SparseSignal(4, (2,), (1.0,)))

@@ -201,12 +201,22 @@ def test_conic_census_f2_exhaustive_over_63_tuples():
               "a668ac72b40fd1f316b70d7ce3504890"),
     (2, 2, 3, "3b6d7372d45d6c6dc2af2216eb663273"
               "2efce9c9e6483cc1b097f98fc949948d"),
-], ids=["F3-r3", "F4-r2", "F4-r3"])
+    (2, 1, 2, "a1035d39dfb28aaa61c119b5a4157f44"
+              "81b2607b126f7be31605b2ce13e5a254"),
+    (3, 1, 2, "3dea7297d5dd0d02b823124334569b7f"
+              "ce81759b9566428e6d194a79d9f4af7d"),
+    (5, 1, 2, "70fc2a689d14c96234bb34e93c4d1083"
+              "3d4963ca51a965521e9c62bd458d43d6"),
+    (2, 1, 3, "a96e36f7f90c216e29ab315b6cdedf5a"
+              "956df6bba0b073f16369e82957eb3f77"),
+], ids=["F3-r3", "F4-r2", "F4-r3", "F2-r2", "F3-r2", "F5-r2", "F2-r3"])
 def test_singular_mask_matches_pinned_digest(p, s, r, digest):
-    """The digests were recorded from the two-marker engine (a vectorized
-    scan on prime fields, a per-point scan on extension fields) before the
-    two were merged into one marker; they pin the mask on a prime field and
-    on an extension field."""
+    """The first three digests were recorded from the two-marker engine (a
+    vectorized scan on prime fields, a per-point scan on extension fields)
+    before the two were merged into one marker; they pin the mask on a prime
+    field and on an extension field.  The last four were recorded from the
+    merged marker, which scanned every point of P^2(F_{q^k}), before the scan
+    kept one point per Frobenius orbit; F5-r2 is the benchmark's instance."""
     mask = plane_singular_mask(make_field(p, s), r)
     assert hashlib.sha256(np.packbits(mask)).hexdigest() == digest
 

@@ -18,8 +18,12 @@ Families:
 * plane_curve_matrix(field, r): incidence of P^2(F_q) points with smooth
   degree-r plane curves, one column per scalar class of smooth forms.  One
   marker, _mark_singular, finds the singular forms on every base field: the
-  conditions at each point of P^2(F_{q^k}), k <= 3, are written in
-  F_q-coordinates by a table lookup and their nullspaces marked.
+  conditions at the points of P^2(F_{q^k}), k <= 3, are written in
+  F_q-coordinates by a table lookup and their nullspaces marked.  Only one
+  point per Frobenius orbit is scanned (conjugate points have the same
+  nullspace over F_q), a block of points at a time; the rank-deficient
+  points of a block are grouped by nullity, and each group's nullspace
+  combinations are evaluated as one blocked F_q product.
 * fermat_hyperplane_matrix(field): incidence of the degree-(q+1) Fermat
   surface's rational points in P^3(F_{q^2}) with all hyperplanes (the
   coefficient rows are the hyperplanes' linear forms).
@@ -429,12 +433,25 @@ def construction_a_single_point(field: FieldSpec, t: int, eval_points,
 # ---------------------------------------------------------------------------
 
 
-def _p2_points(field: FieldSpec):
+def _p2_point_array(field: FieldSpec) -> np.ndarray:
+    """(q^2 + q + 1, 3) codes of the canonical P^2 points, in index order."""
     q = field.q
-    pts = [(1, a, b) for a in range(q) for b in range(q)]
-    pts += [(0, 1, b) for b in range(q)]
-    pts.append((0, 0, 1))
-    return pts
+    a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    line = np.arange(q, dtype=np.int64)
+    return np.concatenate([
+        np.stack([np.ones_like(a), a, b], axis=1),
+        np.stack([np.zeros_like(line), np.ones_like(line), line], axis=1),
+        np.array([[0, 0, 1]], dtype=np.int64)])
+
+
+def _p2_points(field: FieldSpec):
+    return [tuple(pt) for pt in _p2_point_array(field).tolist()]
+
+
+def _p2_index(points: np.ndarray, q: int) -> np.ndarray:
+    """Index of canonical P^2(F_q) points (rows of codes) in _p2_point_array."""
+    x, y, z = points.T
+    return np.where(x == 1, y * q + z, np.where(y == 1, q * q + z, q * q + q))
 
 
 def _plane_monomials(r: int):
@@ -453,31 +470,43 @@ def _monomial_name(exps, names=("x", "y", "z")):
 
 
 def _mark_singular_points(mask: np.ndarray, field: FieldSpec, rows):
-    """Mark every form singular at one of the points in the code mask.
+    """Mark every form singular at one of a block of points.
 
     rows[i] holds point i's linear conditions over F_q on the m coefficients
-    of a form (its value and three partials there).  The forms singular at
-    the point are the nullspace: from the RREF, one basis vector per free
-    column.  Every combination is evaluated through evaluation_blocks with
-    the basis as the table; its code is its base-q number.  Points are
-    reduced in blocks of about BLOCK_ENTRIES codes.
+    of a form (its value and three partials there); the forms singular at
+    the point are their nullspace.  One _rref reduces the whole block, and
+    the points of full rank (nullspace {0}) are dropped by one
+    pivots.all(-1) test.  The others are grouped by nullity d.  Within a
+    group each point's nullspace basis, one vector per free column, fills d
+    rows of a table whose columns are the (point, coefficient) pairs, so
+    evaluation_blocks evaluates the q^d combinations at every point of the
+    group as one F_q product, about BLOCK_ENTRIES values per block.  A
+    combination's code is its base-q number.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    q = field.q
     m = rows.shape[-1]
-    weights = field.q ** np.arange(m, dtype=np.int64)
-    step = max(1, BLOCK_ENTRIES // rows[0].size)
-    for i0 in range(0, len(rows), step):
-        reduced, pivots = _rref(field, rows[i0:i0 + step])
-        for red, piv in zip(reduced, pivots):
-            if piv.all():
-                continue
-            free = np.flatnonzero(~piv)
-            basis = np.zeros((free.size, m), dtype=np.int64)
-            basis[np.arange(free.size), free] = 1
-            basis[:, piv] = field.np_neg(red[:m - free.size, free].T)
-            for _, vecs in evaluation_blocks(field, basis,
-                                             range(field.q ** free.size)):
-                mask[vecs @ weights] = True
+    weights = q ** np.arange(m, dtype=np.int64)
+    reduced, pivots = _rref(field, rows)
+    deficient = ~pivots.all(-1)
+    reduced, pivots = reduced[deficient], pivots[deficient]
+    nullity = m - pivots.sum(-1)
+    for d in np.unique(nullity).tolist():
+        red, piv = reduced[nullity == d], pivots[nullity == d]
+        G = red.shape[0]
+        free = np.nonzero(~piv)[1].reshape(G, d)
+        bound = np.nonzero(piv)[1].reshape(G, m - d)
+        g, j = np.arange(G)[:, None], np.arange(d)
+        basis = np.zeros((G, d, m), dtype=np.int64)
+        basis[g, j, free] = 1
+        # row i of a reduced matrix carries the i-th pivot, bound[:, i]
+        coeffs = np.take_along_axis(red[:, :m - d], free[:, None, :], axis=2)
+        basis[g[:, :, None], j[:, None], bound[:, None, :]] = field.np_neg(
+            coeffs.transpose(0, 2, 1))
+        step = max(1, BLOCK_ENTRIES // (m * q ** d))
+        for g0 in range(0, G, step):
+            table = basis[g0:g0 + step].transpose(1, 0, 2).reshape(d, -1)
+            for _, vecs in evaluation_blocks(field, table, range(q ** d)):
+                mask[vecs.reshape(len(vecs), -1, m) @ weights] = True
 
 
 def _subfield_coordinate_map(field, ext, emb, k):
@@ -504,6 +533,51 @@ def _subfield_coordinate_map(field, ext, emb, k):
     return coords.reshape(ext.q, k, s) @ (p ** np.arange(s, dtype=np.int64))
 
 
+def _frobenius_representatives(field, ext, k):
+    """Codes of the points of P^2(ext) that _mark_singular scans, ext = F_{q^k}.
+
+    At k = 1 these are all the points.  At k in {2, 3} the Frobenius map
+    x -> x^q, applied to each coordinate, fixes the points of P^2(F_q) and
+    moves every other point through an orbit of exactly k points, since k
+    is prime; it keeps a point canonical (0^q = 0, 1^q = 1).  A point is
+    kept iff its index is below those of its k - 1 conjugates: P^2(F_q) is
+    dropped and the first point of each orbit is kept, in index order.
+    """
+    points = _p2_point_array(ext)
+    if k == 1:
+        return points
+    frob = ext.np_pow(np.arange(ext.q, dtype=np.int64), field.q)
+    index = np.arange(len(points))
+    keep = np.ones(len(points), dtype=bool)
+    conjugate = points
+    for _ in range(k - 1):
+        conjugate = frob[conjugate]
+        keep &= index < _p2_index(conjugate, ext.q)
+    return points[keep]
+
+
+def _singular_conditions(ext, emb, monos, X):
+    """(len(X), 4, m) codes of each monomial's value and its three partials
+    at the points X of P^2(ext); emb embeds the base field in ext."""
+    p = ext.p
+    r = sum(monos[0])
+    pows = [[ext.np_pow(X[:, a], e) for e in range(r + 1)] for a in range(3)]
+
+    def monomial(exps):
+        return ext.np_mul(ext.np_mul(pows[0][exps[0]], pows[1][exps[1]]),
+                          pows[2][exps[2]])
+
+    cond = np.zeros((X.shape[0], 4, len(monos)), dtype=np.int64)
+    for t, exps in enumerate(monos):
+        cond[:, 0, t] = monomial(exps)
+        for axis, e in enumerate(exps):
+            scale = emb[e % p]
+            if scale:
+                lowered = tuple(d - (a == axis) for a, d in enumerate(exps))
+                cond[:, 1 + axis, t] = ext.np_mul(scale, monomial(lowered))
+    return cond
+
+
 def _mark_singular(field, r, k, mask):
     """Mark every degree-r form singular at a point of P^2(F_{q^k}).
 
@@ -511,29 +585,26 @@ def _mark_singular(field, r, k, mask):
     in the m coefficients; their condition codes, written in F_q-coordinates
     through _subfield_coordinate_map, give 4k linear conditions over F_q
     whose nullspaces _mark_singular_points marks.
+
+    One point per Frobenius orbit is enough (_frobenius_representatives).
+    A form f with coefficients in F_q satisfies f(P^q) = f(P)^q, and so do
+    its partials, whose scales e mod p lie in F_p; so f is singular at P
+    iff it is singular at P^q, and every point of an orbit has the same
+    nullspace.  At k = 2, 3 the points of P^2(F_q) are left to the k = 1
+    pass, whose conditions they repeat.  The points are handled in blocks
+    of about BLOCK_ENTRIES condition codes, so the (points, 4k, m) rows
+    never exist for the whole plane at once.
     """
-    p = field.p
     E, emb = extension_with_embedding(field, k)
-    X = np.array(_p2_points(E), dtype=np.int64)  # (npts, 3)
-    pows = [[E.np_pow(X[:, a], e) for e in range(r + 1)] for a in range(3)]
-
-    def monomial(exps):
-        return E.np_mul(E.np_mul(pows[0][exps[0]], pows[1][exps[1]]),
-                        pows[2][exps[2]])
-
+    coordinates = _subfield_coordinate_map(field, E, emb, k)
     monos = _plane_monomials(r)
-    npts, m = X.shape[0], len(monos)
-    cond = np.zeros((npts, 4, m), dtype=np.int64)
-    for t, exps in enumerate(monos):
-        cond[:, 0, t] = monomial(exps)
-        for axis, e in enumerate(exps):
-            scale = emb[e % p]
-            if scale:
-                lowered = tuple(d - (a == axis) for a, d in enumerate(exps))
-                cond[:, 1 + axis, t] = E.np_mul(scale, monomial(lowered))
-    coords = _subfield_coordinate_map(field, E, emb, k)[cond]  # (npts, 4, m, k)
-    rows = coords.transpose(0, 1, 3, 2).reshape(npts, 4 * k, m)
-    _mark_singular_points(mask, field, rows)
+    m = len(monos)
+    points = _frobenius_representatives(field, E, k)
+    step = max(1, BLOCK_ENTRIES // (4 * k * m))
+    for i0 in range(0, len(points), step):
+        cond = _singular_conditions(E, emb, monos, points[i0:i0 + step])
+        rows = coordinates[cond].transpose(0, 1, 3, 2)  # (block, 4, k, m)
+        _mark_singular_points(mask, field, rows.reshape(-1, 4 * k, m))
 
 
 def plane_singular_mask(field: FieldSpec, r: int) -> np.ndarray:
@@ -542,7 +613,11 @@ def plane_singular_mask(field: FieldSpec, r: int) -> np.ndarray:
     A form is singular iff it and its three partials share a projective zero
     over some extension F_{q^k}.  For r in {2, 3} the singular points of a
     singular form include a Galois orbit of at most 3 points, so k <= 3
-    suffices and the scan over k = 1, 2, 3 is fixed.
+    suffices and the scan over k = 1, 2, 3 is fixed.  The Galois group also
+    shrinks each scan: the coefficients lie in F_q, so Frobenius x -> x^q
+    maps the singular points of a form to singular points, and one point
+    per orbit of the points outside P^2(F_q) decides the same forms as the
+    whole orbit (see _mark_singular).
     """
     if r not in (2, 3):
         raise PreconditionError(f"degree r must be 2 or 3, got {r}")
@@ -653,8 +728,7 @@ def plane_curve_matrix(field: FieldSpec, r: int) -> MeasurementMatrix:
     m = len(monos)
     mask = plane_singular_mask(field, r)
     reps = np.nonzero(_scalar_class_rep_mask(q, m) & ~mask)[0]
-    pts = _p2_points(field)
-    X = np.array(pts, dtype=np.int64)
+    X = _p2_point_array(field)
     table = np.stack([
         field.np_mul(field.np_mul(field.np_pow(X[:, 0], i),
                                   field.np_pow(X[:, 1], j)),

@@ -12,7 +12,7 @@ from agrip.errors import (
     PreconditionError,
     RankDeficient,
 )
-from agrip.fields import make_field
+from agrip.fields import extension_with_embedding, make_field
 from agrip.constructions import (
     INFINITY,
     EvaluationDesign,
@@ -30,6 +30,7 @@ from agrip.constructions import (
     projective_space_design,
     ruled_surface_design,
     toric_design,
+    _frobenius_representatives,
     _p2_points,
     _plane_monomials,
     _rref,
@@ -219,6 +220,38 @@ def test_singular_mask_matches_pinned_digest(p, s, r, digest):
     kept one point per Frobenius orbit; F5-r2 is the benchmark's instance."""
     mask = plane_singular_mask(make_field(p, s), r)
     assert hashlib.sha256(np.packbits(mask)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)],
+                         ids=["F2", "F3", "F4", "F5"])
+def test_frobenius_representatives_partition_the_new_points(p, s, k):
+    """The scanned points' orbits under x -> x^q are exactly the points of
+    P^2(F_{q^k}) outside P^2(F_q), k to an orbit, each entered at its
+    first point in the canonical order."""
+    field = make_field(p, s)
+    q = field.q
+    E, emb = extension_with_embedding(field, k)
+    Q = E.q
+    points = [(1, a, b) for a in range(Q) for b in range(Q)]
+    points += [(0, 1, b) for b in range(Q)] + [(0, 0, 1)]
+    assert _p2_points(E) == points
+    index = {pt: i for i, pt in enumerate(points)}
+    base = set(emb.tolist())
+    new = {pt for pt in points if not set(pt) <= base}
+    reps = [tuple(pt) for pt in _frobenius_representatives(field, E, k).tolist()]
+    covered = set()
+    for rep in reps:
+        orbit = [rep]
+        for _ in range(k):
+            orbit.append(tuple(E.pow(c, q) for c in orbit[-1]))
+        assert orbit.pop() == rep
+        assert len(set(orbit)) == k
+        assert index[rep] == min(index[pt] for pt in orbit)
+        assert covered.isdisjoint(orbit)
+        covered.update(orbit)
+    assert covered == new
+    assert len(reps) == (Q * Q + Q + 1 - q * q - q - 1) // k
 
 
 def _expected_smooth_conic_classes(q):

@@ -460,7 +460,9 @@ class FieldSpec:
         return digs @ weights
 
     def np_sub(self, xs, ys) -> np.ndarray:
-        return self.np_add(xs, self.np_neg(ys))
+        if self.s == 1 and self.p != 2:
+            return (np.asarray(xs, dtype=np.int64) - ys) % self.p
+        return self.np_add(xs, ys if self.p == 2 else self.np_neg(ys))
 
     def np_trace(self, codes) -> np.ndarray:
         """Tr of every code, as integers in [0, p).

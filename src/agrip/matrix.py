@@ -2,16 +2,16 @@
 
 A MeasurementMatrix stores its sparse signed-integer columns as one int64
 CSC triple (indptr, indices, data).  All metrics are computed in exact
-integer/rational arithmetic; floating point appears only in the Welch bound
-and in decimal renderings.
+integer/rational arithmetic; floating point appears only in the Welch bound,
+in decimal renderings and in Gram tiles it holds exactly (see _gram_scan).
 
 Coherence of a pair is |<phi_i, phi_j>| / sqrt(c_i * c_j) with integer inner
 products and integer squared norms, so every value is either a Fraction or a
 single-radicand SurdSum; average coherence over columns with mixed norms is a
 general SurdSum.
 
-All three come from one blocked int64 Gram pass that keeps, per squared-norm
-group, the signed and absolute row sums and the largest |<phi_i,phi_j>|.
+All three come from one exact symmetric Gram pass over tiles (_gram_scan): per
+squared-norm group, the signed and absolute row sums and the largest |G_ij|.
 The pairwise scan is capped (default 20000 columns); above the cap it
 refuses to run rather than blow up at O(N^2).
 
@@ -62,8 +62,9 @@ from .exact import (
 )
 
 DEFAULT_PAIR_CAP = 20_000
-_BLOCK = 1024
-_GRAM_BLOCK_ENTRIES = 1 << 23  # 64 MB of int64 per dense Gram block
+_GRAM_TILE = 512  # Gram tile edge; faster than 256 and 1024
+_GRAM_BLOCK_ENTRIES = 1 << 23  # 64 MB of float64 per dense column slab
+_DENSE_WORK_RATIO = 100  # dense below, sparse above (see _gram_scan)
 _IO_BLOCK = 1 << 16  # lines per rendered block
 FORMAT_NAME = "AGRIP-SPARSE"
 FORMAT_VERSION = 1
@@ -181,7 +182,7 @@ class MeasurementMatrix:
         return self._csc
 
     def to_dense(self) -> np.ndarray:
-        return np.asarray(self.to_csc().todense())
+        return _densify(self.n, self.indptr, self.indices, self.data)
 
     def __eq__(self, other):
         if not isinstance(other, MeasurementMatrix):
@@ -199,13 +200,23 @@ class MeasurementMatrix:
 # -- exact Gram machinery ---------------------------------------------------
 
 
-def _map_blocks(fn, N, block):
-    blocks = [(j0, min(j0 + block, N)) for j0 in range(0, N, block)]
-    workers = min(worker_count(), len(blocks))
-    if workers <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, blocks))
+def _densify(n, indptr, indices, data, dtype=np.int64) -> np.ndarray:
+    """Dense array of the CSC columns indptr (a slice of one) delimits."""
+    lo, hi = indptr[0], indptr[-1]
+    out = np.zeros((n, indptr.size - 1), dtype)
+    cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    out[indices[lo:hi], cols] = data[lo:hi]
+    return out
+
+
+def _check_gram_input(M: MeasurementMatrix):
+    """N >= 2, B = n max|a|^2 < 2^53 and N B < 2^63 (see _gram_scan)."""
+    if M.N < 2:
+        raise SingleColumn("coherence metrics need at least two columns")
+    bound = M.n * max(-int(M.data.min()), int(M.data.max())) ** 2
+    if bound >= 1 << 53 or M.N * bound >= 1 << 63:
+        raise PreconditionError(f"n max|a|^2 = {bound} with N = {M.N} "
+                                "overflows the exact int64 Gram scan")
 
 
 class _GramScan(NamedTuple):
@@ -218,17 +229,27 @@ class _GramScan(NamedTuple):
     pair_max: np.ndarray  # (g, g) max |G_ij|, i != j, over the two groups
 
 
-def _default_block(N: int) -> int:
-    """Gram block height: at most _BLOCK rows and _GRAM_BLOCK_ENTRIES entries."""
-    return min(_BLOCK, max(1, _GRAM_BLOCK_ENTRIES // N))
+def _gram_tile(n: int) -> int:
+    """Tile edge: <= _GRAM_TILE, and n rows of it <= _GRAM_BLOCK_ENTRIES."""
+    return min(_GRAM_TILE, max(1, _GRAM_BLOCK_ENTRIES // n))
 
 
 def _gram_scan(M: MeasurementMatrix, pair_cap: int,
                block: int | None = None) -> _GramScan:
-    """One exact int64 pass over the Gram matrix, in row blocks of `block`
-    (default: _default_block(N))."""
-    if M.N < 2:
-        raise SingleColumn("coherence metrics need at least two columns")
+    """One exact pass over each column pair of G = A^T A, once.
+
+    A task takes a slab I of `block` norm-sorted columns (default: the tile
+    edge) and walks the tiles G_IJ, J >= I.  As the norm groups are
+    contiguous, an off-diagonal tile adds I's per-group sums along axis 1,
+    J's sums, grouped by I's norm groups, along axis 0, and its maxima to
+    pair_max, symmetrised at the end; the diagonal tile, its diagonal
+    zeroed, adds along axis 1 only.  Tiles are float64 GEMMs of dense slabs
+    when n N^2 < _DENSE_WORK_RATIO * sum_k r_k^2, the sparse product's work
+    (r_k nonzeros in row k), else scipy int64 products.  By Cauchy-Schwarz
+    every partial sum in a tile is an integer of size at most
+    B = n max|a|^2 < 2^53, so both are exact; the sums stay under N B < 2^63.
+    """
+    _check_gram_input(M)
     if M.N > pair_cap:
         raise PairScanCapExceeded(
             f"{M.N} columns exceed the pairwise cap {pair_cap}; raise the "
@@ -236,33 +257,49 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int,
             "matrices are reported without the pairwise scan)")
     order = np.argsort(M.sqnorms(), kind="stable")
     c = M.sqnorms()[order]
-    values, starts = np.unique(c, return_index=True)
-    group = np.searchsorted(values, c)
+    values, group = np.unique(c, return_inverse=True)
     A = M.to_csc()[:, order]
+    N, g, edge = M.N, values.size, _gram_tile(M.n)
+    dense = M.n * N * N < _DENSE_WORK_RATIO * int(np.sum(np.bincount(M.indices) ** 2))
+
+    slab = ((lambda j0, j1: _densify(M.n, A.indptr[j0:j1 + 1], A.indices,
+                                     A.data, np.float64)) if dense
+            else (lambda j0, j1: A[:, j0:j1]))
+
+    def segments(j0, j1):  # offsets of the norm groups in j0..j1, their range
+        heads = np.flatnonzero(np.diff(group[j0:j1], prepend=-1))
+        return heads, slice(group[j0], group[j1 - 1] + 1)
 
     def scan(bounds):
-        j0, j1 = bounds
-        rows = np.arange(j1 - j0)
-        own = group[j0:j1]
-        G = (A[:, j0:j1].T @ A).toarray().astype(np.int64, copy=False)
-        signed = np.add.reduceat(G, starts, axis=1)
-        np.abs(G, out=G)
-        absolute = np.add.reduceat(G, starts, axis=1)
-        # G_ii = |G_ii| = c_i falls in the row's own norm group
-        signed[rows, own] -= c[j0:j1]
-        absolute[rows, own] -= c[j0:j1]
-        G[rows, rows + j0] = 0
-        col_max = np.maximum.reduceat(G, starts, axis=1)
-        heads = np.flatnonzero(np.diff(own, prepend=-1))
-        return (signed, absolute, own[heads],
-                np.maximum.reduceat(col_max, heads, axis=0))
+        i0, i1 = bounds
+        heads = segments(i0, i1)[0]
+        spans = list(zip(heads, [*heads[1:], i1 - i0]))  # slab rows per group
+        left = slab(i0, i1)
+        rows = np.zeros((3, i1 - i0, g), dtype=np.int64)  # signed, absolute, max
+        cols = np.zeros((2, len(spans), N - i0), dtype=np.int64)
+        for k0, k1 in [(i0, i1)] + [(k, min(k + edge, N)) for k in range(i1, N, edge)]:
+            G = left.T @ (left if k0 == i0 else slab(k0, k1))
+            G = G.astype(np.int64) if dense else G.toarray()
+            if k0 == i0:
+                np.fill_diagonal(G, 0)
+            at, groups = segments(k0, k1)
+            for s, part in enumerate((G, np.abs(G))):
+                rows[s, :, groups] += np.add.reduceat(part, at, axis=1)
+                # row slices sum faster than np.add.reduceat along axis 0
+                cols[s, :, k0 - i0:k1 - i0] = [part[a:b].sum(0) for a, b in spans]
+            np.maximum(rows[2, :, groups], np.maximum.reduceat(part, at, axis=1),
+                       out=rows[2, :, groups])
+        return rows, cols
 
-    parts = _map_blocks(scan, M.N, block or _default_block(M.N))
-    pair_max = np.zeros((values.size, values.size), dtype=np.int64)
-    for _, _, row_groups, maxima in parts:
-        np.maximum.at(pair_max, row_groups, maxima)
-    return _GramScan(values, c, np.vstack([p[0] for p in parts]),
-                     np.vstack([p[1] for p in parts]), pair_max)
+    slabs = [(i, min(i + (block or edge), N)) for i in range(0, N, block or edge)]
+    sums = np.zeros((2, N, g), dtype=np.int64)
+    pair_max = np.zeros((g, g), dtype=np.int64)
+    with ThreadPoolExecutor(min(worker_count(), len(slabs))) as ex:
+        for (i0, i1), (rows, cols) in zip(slabs, ex.map(scan, slabs)):
+            sums[:, i0:i1] += rows[:2]
+            sums[:, i1:, segments(i0, i1)[1]] += cols[:, :, i1 - i0:].transpose(0, 2, 1)
+            np.maximum.at(pair_max, group[i0:i1], rows[2])
+    return _GramScan(values, c, sums[0], sums[1], np.maximum(pair_max, pair_max.T))
 
 
 def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
@@ -275,8 +312,7 @@ def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
     so |G| = |A|^T |A|, and the row sums of G and |G| are A^T (A 1) and
     |A|^T (|A| 1), less the diagonal c.
     """
-    if M.N < 2:
-        raise SingleColumn("coherence metrics need at least two columns")
+    _check_gram_input(M)
     c = M.sqnorms()
     A = M.to_csc()
     absA = A if M.is_binary() else abs(A)
@@ -550,6 +586,8 @@ def read_sparse(path, meta=None) -> MeasurementMatrix:
                 raise FormatError(f"row index {row} out of range", line=lineno)
             if val == 0:
                 raise FormatError("explicit zero entry", line=lineno)
+            if not (-1 << 63 <= val < 1 << 63):
+                raise FormatError(f"entry {val} is outside int64", line=lineno)
             if (col, row) <= last:
                 raise FormatError("entries not sorted by (col, row)", line=lineno)
             last = (col, row)

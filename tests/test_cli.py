@@ -83,6 +83,20 @@ def test_analyze_truncated_file_exits_2(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("value,message", [
+    (1 << 32, "overflows the exact int64 Gram scan"),
+    (-(1 << 63), "overflows the exact int64 Gram scan"),
+    (1 << 63, f"line 2: entry {1 << 63} is outside int64"),
+    (1 << 70, f"line 2: entry {1 << 70} is outside int64"),
+], ids=["2^32", "-2^63", "2^63", "2^70"])
+def test_analyze_rejects_entries_outside_the_exact_range(tmp_path, capsys,
+                                                         value, message):
+    path = tmp_path / "big.agrip"
+    path.write_text(f"AGRIP-SPARSE 1 2 2 3\n0 0 {value}\n1 0 1\n1 1 1\n")
+    assert run_cli("analyze", "--in", str(path)) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sign_balanced_round_trip(tmp_path):
     out = tmp_path / "d.agrip"
     run_cli("construct", "--family", "devore", "--field", "5", "--r", "2",

@@ -164,6 +164,16 @@ def test_np_add_neg_trace_match_scalar_ops_on_every_element(p, s):
     assert f.np_trace(codes.reshape(-1, 1)).shape == (f.q, 1)
 
 
+@pytest.mark.parametrize("p,s", [(2, 1), (7, 1), (2, 3), (3, 2)])
+def test_np_sub_matches_scalar_sub_on_every_pair(p, s):
+    import numpy as np
+
+    f = make_field(p, s)
+    xs, ys = (a.ravel() for a in np.meshgrid(np.arange(f.q), np.arange(f.q)))
+    assert f.np_sub(xs, ys).tolist() == [f.sub(int(x), int(y))
+                                         for x, y in zip(xs, ys)]
+
+
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 

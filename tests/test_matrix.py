@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from agrip.errors import (
     DegenerateShape,
@@ -24,8 +25,9 @@ import agrip.matrix
 from agrip.matrix import (
     DEFAULT_PAIR_CAP,
     MeasurementMatrix,
-    _default_block,
+    _function_space_scan,
     _gram_scan,
+    _gram_tile,
     average_coherence,
     coherence,
     coherence_report,
@@ -499,12 +501,29 @@ def test_gram_scan_matches_the_definitions(arr):
         assert average_coherence(M, mode) == _omega_by_definition(arr, mode)
 
 
-@pytest.mark.parametrize("M", [
-    construction_a_simple_poles(make_field(5), [0, 1], [2, 3, 4]),
-    randomize_signs(fermat_hyperplane_matrix(make_field(2, 2)), 3),
-], ids=["consta-poles-F5", "fermat-F4-random"])
-def test_gram_scan_does_not_depend_on_the_block_size(M):
+def _random_mixed_matrix(n, N, density, seed):
+    """Random entries in {-1, 1} at the given density plus one in each
+    column, so the squared norms (support sizes) form several groups."""
+    rng = np.random.default_rng(seed)
+    arr = (rng.random((n, N)) < density) * rng.choice([-1, 1], (n, N))
+    arr[rng.integers(0, n, N), np.arange(N)] = rng.choice([-1, 1], N)
+    return dense_to_matrix(arr)
+
+
+@pytest.mark.parametrize("M,dense", [
+    (construction_a_simple_poles(make_field(5), [0, 1], [2, 3, 4]), True),
+    (randomize_signs(fermat_hyperplane_matrix(make_field(2, 2)), 3), True),
+    (_random_mixed_matrix(12, 60, 0.2, 1), True),
+    (_random_mixed_matrix(200, 60, 0.01, 2), False),
+], ids=["consta-poles-F5", "fermat-F4-random", "random-dense-tiles",
+        "random-sparse-tiles"])
+def test_gram_scan_does_not_depend_on_the_block_size(M, dense, monkeypatch):
+    densified = []  # dense tiles densify their column slabs
+    real = agrip.matrix._densify
+    monkeypatch.setattr(agrip.matrix, "_densify",
+                        lambda *args: densified.append(1) or real(*args))
     ref = _gram_scan(M, DEFAULT_PAIR_CAP, 1024)
+    assert bool(densified) == dense
     for block in (1, 7):
         scan = _gram_scan(M, DEFAULT_PAIR_CAP, block)
         for got, want in zip(scan, ref):
@@ -513,16 +532,70 @@ def test_gram_scan_does_not_depend_on_the_block_size(M):
         for mode in ("signed", "absolute"):
             assert (average_coherence(M, mode, block=block)
                     == average_coherence(M, mode))
+    # 16-column tiles: each slab walks several tiles, and the norm groups
+    # straddle their edges
+    monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", 16)
+    for block in (1, 7, None):
+        for got, want in zip(_gram_scan(M, DEFAULT_PAIR_CAP, block), ref):
+            assert np.array_equal(got, want)
+
+
+def _gram_scan_by_definition(arr):
+    """The _gram_scan tuple from the dense int64 Gram matrix."""
+    c = (arr * arr).sum(axis=0)
+    order = np.argsort(c, kind="stable")
+    G = arr[:, order].T @ arr[:, order]
+    np.fill_diagonal(G, 0)
+    values, group = np.unique(c[order], return_inverse=True)
+    member = (group[:, None] == np.arange(values.size)).astype(np.int64)
+    pair_max = [[np.abs(G[np.ix_(group == u, group == v)]).max()
+                 for v in range(values.size)] for u in range(values.size)]
+    return values, c[order], G @ member, np.abs(G) @ member, np.array(pair_max)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arr=st.tuples(st.integers(1, 10), st.integers(2, 40)).flatmap(
+           lambda shape: arrays(np.int64, shape, elements=st.sampled_from(
+               [0, 0, 0, 1, -1, 2, -3]))),
+       tile=st.integers(2, 9), block=st.sampled_from([None, 1, 3]))
+@pytest.mark.parametrize("ratio", [0, 10 ** 30],
+                         ids=["sparse-tiles", "dense-tiles"])
+def test_gram_scan_matches_the_dense_gram_matrix(ratio, arr, tile, block,
+                                                 monkeypatch):
+    arr[0, ~arr.any(axis=0)] = 1  # no zero column
+    monkeypatch.setattr(agrip.matrix, "_DENSE_WORK_RATIO", ratio)
+    monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", tile)
+    scan = _gram_scan(dense_to_matrix(arr), DEFAULT_PAIR_CAP, block)
+    for got, want in zip(scan, _gram_scan_by_definition(arr)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_default_gram_block_stays_under_the_byte_budget():
     budget = 64 * 2 ** 20
-    for N in (2, 1000, 8192, 8193, 20_000, 28_561, 10 ** 7, 10 ** 9):
-        rows = _default_block(N)
-        assert 1 <= rows <= 1024
-        assert rows == 1 or rows * N * 8 <= budget
-    assert _default_block(8192) == 1024     # every benchmark matrix
-    assert _default_block(28_561) == 293    # consta-point F_13 t=3
+    for n in (1, 13, 1100, 16_384, 16_385, 50_653, 10 ** 7, 10 ** 9):
+        edge = _gram_tile(n)
+        assert 1 <= edge <= 512
+        assert edge == 1 or edge * n * 8 <= budget
+    assert _gram_tile(1100) == 512     # every benchmark matrix (n <= 1100)
+    assert _gram_tile(50_653) == 165   # ruled F_37 (1, 0)
+
+
+@pytest.mark.parametrize("top,fits", [(1 << 26, False), ((1 << 26) - 1, True),
+                                      (1 << 32, False), (-(1 << 63), False)])
+def test_gram_scans_reject_entries_that_overflow(top, fits):
+    """n max|a|^2 must stay under 2^53; here n = 2."""
+    M = MeasurementMatrix(2, 2, [([0], [top]), ([0, 1], [1, 1])])
+    if fits:
+        for got, want in zip(_gram_scan(M, DEFAULT_PAIR_CAP),
+                             _gram_scan_by_definition(M.to_dense())):
+            assert np.array_equal(got, want)
+        return
+    for scan in (lambda: _gram_scan(M, DEFAULT_PAIR_CAP),
+                 lambda: _function_space_scan(M)):
+        with pytest.raises(PreconditionError,
+                           match="overflows the exact int64 Gram scan"):
+            scan()
 
 
 def test_report_makes_one_gram_scan(monkeypatch):

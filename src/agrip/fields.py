@@ -34,6 +34,7 @@ from .errors import (
 
 FIELD_ORDER_CAP = 1 << 20
 _LOG_TABLE_CAP = 1 << 16
+_NP_TABLE_CAP = 1 << 10  # q x q addition tables for p odd up to this q
 
 
 def is_prime(n: int) -> bool:
@@ -234,19 +235,16 @@ class FieldSpec:
     Build through make_field(); instances are safe to share across threads.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "theta",
-                 "_exp", "_log", "_np_exp", "_np_log", "_np_digits")
+    __slots__ = ("p", "s", "q", "modulus", "theta", "_exp", "_log",
+                 "_np_exp", "_np_log", "_np_digits", "_np_sum", "_np_negation")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
         self.s = s
         self.q = p ** s
         self.modulus = modulus
-        self._exp = None
-        self._log = None
-        self._np_exp = None
-        self._np_log = None
-        self._np_digits = None
+        self._exp = self._log = self._np_exp = self._np_log = None
+        self._np_digits = self._np_sum = self._np_negation = None
         self.theta = self._find_theta()
         if s > 1 and self.q <= _LOG_TABLE_CAP:
             self._rebuild_tables_from_theta()
@@ -418,23 +416,25 @@ class FieldSpec:
         return self._np_digits
 
     def _np_log_tables(self):
+        """Exp and log arrays of an extension field (s > 1)."""
         if self._np_exp is None:
-            if self.s > 1 and self._exp is None:
+            if self._exp is None:
                 self._rebuild_tables_from_theta()
-            if self.s == 1:
-                exp = [0] * (self.q - 1)
-                log = [-1] * self.q
-                acc = 1
-                for i in range(self.q - 1):
-                    exp[i] = acc
-                    log[acc] = i
-                    acc = (acc * self.theta) % self.p
-                self._np_exp = np.array(exp, dtype=np.int64)
-                self._np_log = np.array(log, dtype=np.int64)
-            else:
-                self._np_exp = np.array(self._exp, dtype=np.int64)
-                self._np_log = np.array(self._log, dtype=np.int64)
+            self._np_log = np.array(self._log, dtype=np.int64)
+            self._np_exp = np.array(self._exp, dtype=np.int64)  # marks both built
         return self._np_exp, self._np_log
+
+    def _np_from_digits(self, digits) -> np.ndarray:
+        """Codes of base-p digit arrays (last axis), each digit taken mod p."""
+        return (digits % self.p) @ self.p ** np.arange(self.s, dtype=np.int64)
+
+    def _np_add_tables(self):
+        """The q x q sum and q-entry negation tables (p odd, s > 1)."""
+        if self._np_sum is None:
+            digs = self.np_digits()
+            self._np_negation = self._np_from_digits(-digs)
+            self._np_sum = self._np_from_digits(digs[:, None] + digs)
+        return self._np_sum, self._np_negation
 
     def np_add(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
@@ -444,10 +444,10 @@ class FieldSpec:
             return xs ^ ys
         if self.s == 1:
             return (xs + ys) % self.p
+        if self.q <= _NP_TABLE_CAP:
+            return self._np_add_tables()[0][xs, ys]
         digs = self.np_digits()
-        d = (digs[xs] + digs[ys]) % self.p
-        weights = self.p ** np.arange(self.s, dtype=np.int64)
-        return d @ weights
+        return self._np_from_digits(digs[xs] + digs[ys])
 
     def np_neg(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
@@ -455,9 +455,9 @@ class FieldSpec:
             return xs.copy()
         if self.s == 1:
             return (-xs) % self.p
-        digs = (-self.np_digits()[xs]) % self.p
-        weights = self.p ** np.arange(self.s, dtype=np.int64)
-        return digs @ weights
+        if self.q <= _NP_TABLE_CAP:
+            return self._np_add_tables()[1][xs]
+        return self._np_from_digits(-self.np_digits()[xs])
 
     def np_sub(self, xs, ys) -> np.ndarray:
         if self.s == 1 and self.p != 2:

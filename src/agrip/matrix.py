@@ -27,10 +27,11 @@ On-disk format AGRIP-SPARSE, bit-exact:
     line 1: "AGRIP-SPARSE 1 <n> <N> <nnz>"
     then one line per nonzero: "<col> <row> <value>", sorted by (col, row),
     0-based indices, decimal integers, "\\n" line endings.
-write_sparse renders the arrays in blocks of lines.  read_sparse reads line
-by line and raises FormatError at the first bad line; it also accepts any
-spelling that Python's int() and line splitting accept, such as "+1", "01",
-"1_0" or "\\r\\n" endings.
+write_sparse gathers the lines from NUL-padded byte tables of every column,
+row and distinct value, so no entry becomes a Python int.  read_sparse reads
+line by line and raises FormatError at the first bad line; it also accepts
+any spelling that Python's int() and line splitting accept, such as "+1",
+"01", "1_0" or "\\r\\n" endings.
 """
 
 from __future__ import annotations
@@ -157,8 +158,16 @@ class MeasurementMatrix:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
+    def peak_square(self) -> int:  # max |a|^2, as a Python int
+        return max(-int(self.data.min()), int(self.data.max())) ** 2
+
     def sqnorms(self) -> np.ndarray:
         if self._sqnorms is None:
+            bound = self.peak_square() * int(np.diff(self.indptr).max())
+            if bound >= 1 << 63:
+                raise PreconditionError(
+                    f"max|a|^2 times the longest column, {bound}, overflows "
+                    "the int64 squared norms")
             self._sqnorms = np.add.reduceat(self.data * self.data,
                                             self.indptr[:-1])
         return self._sqnorms
@@ -213,7 +222,7 @@ def _check_gram_input(M: MeasurementMatrix):
     """N >= 2, B = n max|a|^2 < 2^53 and N B < 2^63 (see _gram_scan)."""
     if M.N < 2:
         raise SingleColumn("coherence metrics need at least two columns")
-    bound = M.n * max(-int(M.data.min()), int(M.data.max())) ** 2
+    bound = M.n * M.peak_square()
     if bound >= 1 << 53 or M.N * bound >= 1 << 63:
         raise PreconditionError(f"n max|a|^2 = {bound} with N = {M.N} "
                                 "overflows the exact int64 Gram scan")
@@ -540,14 +549,34 @@ def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
 # -- AGRIP-SPARSE io -----------------------------------------------------------
 
 
+def _decimal_table(values: np.ndarray, end: bytes) -> np.ndarray:
+    """Item k is b"<values[k]><end>", right-aligned in NUL-padded bytes."""
+    negative = values < 0
+    magnitude = np.abs(values).astype(np.uint64)  # abs wraps -2^63; uint64 2^63
+    digits = len(str(int(magnitude.max())))
+    last = digits + int(negative.any()) - 1  # column of the units digit
+    table = np.zeros((values.size, last + 1 + len(end)), dtype=np.uint8)
+    table[:, last + 1:] = np.frombuffer(end, dtype=np.uint8)
+    for k in range(digits):  # a zero magnitude leaves NULs, but the units "0"
+        table[:, last - k] = np.where(magnitude, magnitude % 10 + 48, 0 if k else 48)
+        magnitude //= 10
+    table[negative, np.argmax(table[negative] != 0, axis=1) - 1] = ord("-")
+    return table.view(np.dtype((np.void, table.shape[1])))[:, 0]
+
+
 def write_sparse(M: MeasurementMatrix, path) -> None:
-    entries = np.column_stack((np.repeat(np.arange(M.N), np.diff(M.indptr)),
-                               M.indices, M.data))
+    values, value = np.unique(M.data, return_inverse=True)
+    column = np.repeat(np.arange(M.N), np.diff(M.indptr))
+    tables = [(_decimal_table(np.arange(M.N), b" "), column),
+              (_decimal_table(np.arange(M.n), b" "), M.indices),
+              (_decimal_table(values, b"\n"), value)]
     with open(path, "wb") as fh:
         fh.write(f"{FORMAT_NAME} {FORMAT_VERSION} {M.n} {M.N} {M.nnz}\n".encode())
         for lo in range(0, M.nnz, _IO_BLOCK):
-            flat = entries[lo:lo + _IO_BLOCK].ravel().tolist()
-            fh.write((b"%d %d %d\n" * (len(flat) // 3)) % tuple(flat))
+            lines = np.concatenate(
+                [t.take(i[lo:lo + _IO_BLOCK])[:, None].view(np.uint8)
+                 for t, i in tables], axis=1)
+            fh.write(lines[lines != 0])  # drop the padding
 
 
 def read_sparse(path, meta=None) -> MeasurementMatrix:

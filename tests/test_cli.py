@@ -187,6 +187,17 @@ def test_recover_rejects_bad_arguments_with_exit_2(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def test_recover_rejects_squared_norms_that_overflow_with_exit_2(tmp_path,
+                                                                capsys):
+    matrix = tmp_path / "big.agrip"
+    matrix.write_text("AGRIP-SPARSE 1 3 3 3\n0 0 4294967296\n1 1 1\n2 2 1\n")
+    out = tmp_path / "rec.json"
+    assert run_cli("recover", "--matrix", str(matrix), "--k", "1",
+                   "--trials", "5", "--out", str(out)) == 2
+    assert "overflows the int64 squared norms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_recover_rejects_a_bad_sweep_with_exit_2(tmp_path, capsys):
     assert run_cli("pipeline", "--family", "devore", "--field", "3", "--r", "2",
                    "--recover-k", "0..1", "--out-dir", str(tmp_path)) == 2

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agrip.errors import (
     CompositeCharacteristic,
@@ -174,13 +175,32 @@ def test_np_sub_matches_scalar_sub_on_every_pair(p, s):
                                          for x, y in zip(xs, ys)]
 
 
+# F_9, F_25, F_27 and F_49 add by table lookup; F_3^7 (q > 2^10) by digits
+_ODD_EXTENSIONS = [make_field(3, 2), make_field(5, 2), make_field(3, 3),
+                   make_field(7, 2), make_field(3, 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ODD_EXTENSIONS), st.data())
+def test_np_add_and_neg_match_digitwise_arithmetic(f, data):
+    import numpy as np
+
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, f.q - 1),
+                                         st.integers(0, f.q - 1)), min_size=1))
+    xs, ys = np.array(pairs).T
+    digits = [f.decode(int(x)) for x in xs], [f.decode(int(y)) for y in ys]
+    assert f.np_add(xs, ys).tolist() == [
+        f.encode([(a + b) % f.p for a, b in zip(dx, dy)]) for dx, dy in zip(*digits)]
+    assert f.np_neg(xs).tolist() == [
+        f.encode([-a % f.p for a in dx]) for dx in digits[0]]
+    assert f.np_add(xs[:, None], ys).shape == (xs.size, ys.size)
+
+
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 # -- field axioms on random elements -----------------------------------------
-
-from hypothesis import given, settings, strategies as st
 
 _FIELDS = [make_field(2), make_field(7), make_field(2, 4), make_field(3, 3),
            make_field(5, 2)]

@@ -25,6 +25,7 @@ import agrip.matrix
 from agrip.matrix import (
     DEFAULT_PAIR_CAP,
     MeasurementMatrix,
+    _IO_BLOCK,
     _function_space_scan,
     _gram_scan,
     _gram_tile,
@@ -389,6 +390,36 @@ def test_sparse_format_round_trip_property(M):
         write_sparse(back, second)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
+
+
+def _reference_bytes(M):
+    """AGRIP-SPARSE rendered line by line with Python's int formatting."""
+    cols = np.repeat(np.arange(M.N), np.diff(M.indptr)).tolist()
+    body = "".join(f"{j} {i} {v}\n" for j, i, v in
+                   zip(cols, M.indices.tolist(), M.data.tolist()))
+    return f"AGRIP-SPARSE 1 {M.n} {M.N} {M.nnz}\n{body}".encode()
+
+
+def _diagonal(size, value):
+    return MeasurementMatrix(size, size, [([j], [value(j)]) for j in range(size)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_matrices())
+@example(_diagonal(11, lambda j: j + 1))  # indices and values 9 and 10
+@example(_diagonal(101, lambda j: -(j + 1)))
+@example(_diagonal(1001, lambda j: 999 - j or 1000))
+@example(MeasurementMatrix(1, 4, [([0], [-(2 ** 63)]), ([0], [2 ** 63 - 1]),
+                                  ([0], [-1]), ([0], [10])]))
+@example(MeasurementMatrix.from_csc(   # more columns than one rendered block
+    2, _IO_BLOCK + 1, np.arange(_IO_BLOCK + 2), np.arange(_IO_BLOCK + 1) % 2,
+    np.where(np.arange(_IO_BLOCK + 1) % 3, -7, 12345)))
+def test_write_sparse_bytes_are_the_canonical_spelling(M):
+    """Byte for byte, not only something read_sparse accepts ("+1", "01")."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_sparse(M, f"{tmp}/m.agrip")
+        with open(f"{tmp}/m.agrip", "rb") as fh:
+            assert fh.read() == _reference_bytes(M)
 
 
 def test_shared_arrays_are_read_only():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from agrip import recovery
 from agrip.errors import PreconditionError
 from agrip.fields import make_field
+from agrip.matrix import MeasurementMatrix
 from agrip.constructions import (
     construction_a_simple_poles,
     devore,
@@ -101,6 +102,19 @@ def test_omp_rejects_sparsity_outside_one_to_min_n_n(k):
     M = dense_to_matrix(np.array([[1, 0], [0, 1], [1, 1], [0, 1]]))
     with pytest.raises(PreconditionError, match="sparsity"):
         omp(M, np.ones(4), k)
+
+
+@pytest.mark.parametrize("top,fits", [((1 << 31) - 1, True), (1 << 31, False),
+                                      (1 << 32, False), (-(1 << 63), False)])
+def test_squared_norms_that_overflow_int64_are_refused(top, fits):
+    """max|a|^2 times the longest column (2 here) must stay under 2^63."""
+    M = MeasurementMatrix(3, 3, [([0, 1], [top, top]), ([1], [1]), ([2], [1])])
+    if fits:
+        assert M.sqnorms().tolist() == [2 * top * top, 1, 1]
+        return
+    with pytest.raises(PreconditionError,
+                       match="overflows the int64 squared norms"):
+        run_experiment(M, [1], 5)
 
 
 def test_one_step_thresholding_identity():

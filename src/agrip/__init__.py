@@ -29,7 +29,6 @@ from .matrix import (
     coherence_report,
     read_sparse,
     sparsity_order_bound,
-    strong_coherence_check,
     welch_bound,
     welch_bound_squared,
     write_sparse,

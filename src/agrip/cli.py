@@ -9,7 +9,7 @@ Conventions:
   outputs; `agrip replay` re-runs a manifest and verifies byte-identity;
 * a matrix file <out> is accompanied by a sidecar <out>.json carrying the
   construction metadata needed to rebuild its design (the `sign` and
-  `pipeline` commands read it back; unknown keys are rejected).
+  `analyze` commands read it back; unknown keys are rejected).
 """
 
 from __future__ import annotations
@@ -96,45 +96,49 @@ def _load_sidecar(path) -> dict:
     return sidecar
 
 
+def _sidecar_design(sidecar):
+    """The evaluation design a sidecar (or matrix metadata) names."""
+    return cons.build_design(sidecar["family"],
+                             parse_descriptor(sidecar["field"]),
+                             sidecar["params"])
+
+
 # -- construct ----------------------------------------------------------------
 
 
-def _build_matrix(args) -> "mx.MeasurementMatrix":
+def _build_matrix(args):
+    """(M, design): the matrix the family arguments name and its evaluation
+    design, None for the families without one."""
     field = parse_descriptor(args.field)
     family = args.family
-    if family == "devore":
-        _require(args, "r")
-        return cons.devore(field, args.r)
     if family == "consta-poles":
         _require(args, "poles", "points")
         return cons.construction_a_simple_poles(
-            field, _parse_points(args.poles), _parse_points(args.points))
+            field, _parse_points(args.poles), _parse_points(args.points)), None
     if family == "consta-point":
         _require(args, "t", "points")
         return cons.construction_a_single_point(
-            field, args.t, _parse_points(args.points))
+            field, args.t, _parse_points(args.points)), None
     if family == "planecurve":
         _require(args, "r")
-        return cons.plane_curve_matrix(field, args.r)
+        return cons.plane_curve_matrix(field, args.r), None
     if family == "fermat":
-        return cons.fermat_hyperplane_matrix(field)
-    if family in ("projspace", "ruled", "toric"):
-        design = _build_design_from_args(field, args)
-        return cons.evaluation_matrix(design)
-    raise PreconditionError(f"unknown family {family!r}")
-
-
-def _build_design_from_args(field, args):
-    if args.family == "projspace":
+        return cons.fermat_hyperplane_matrix(field), None
+    if family == "devore":
+        _require(args, "r")
+        design = cons.devore_design(field, args.r)
+    elif family == "projspace":
         _require(args, "dim", "r")
-        return cons.projective_space_design(field, args.dim, args.r)
-    if args.family == "ruled":
+        design = cons.projective_space_design(field, args.dim, args.r)
+    elif family == "ruled":
         _require(args, "d1", "d2")
-        return cons.ruled_surface_design(field, args.d1, args.d2)
-    if args.family == "toric":
+        design = cons.ruled_surface_design(field, args.d1, args.d2)
+    elif family == "toric":
         _require(args, "case", "d")
-        return cons.toric_design(field, args.case, args.d, args.e, args.rr)
-    raise PreconditionError(f"family {args.family!r} has no evaluation design")
+        design = cons.toric_design(field, args.case, args.d, args.e, args.rr)
+    else:
+        raise PreconditionError(f"unknown family {family!r}")
+    return cons.evaluation_matrix(design), design
 
 
 def _require(args, *names):
@@ -154,17 +158,12 @@ def _parse_points(text):
 
 
 def _matrix_sidecar(M) -> dict:
-    sidecar = {"format": "agrip-sidecar/1", "n": M.n, "N": M.N}
-    for key in ("family", "params", "field", "sign_scheme", "column_support",
-                "bound_on_zeros", "tuple_count", "class_count",
-                "surface_points", "coherence_bound"):
-        if key in M.meta:
-            sidecar[key] = M.meta[key]
-    return sidecar
+    return {"format": "agrip-sidecar/1", "n": M.n, "N": M.N,
+            **{k: v for k, v in M.meta.items() if k in _SIDECAR_KEYS}}
 
 
 def cmd_construct(args) -> int:
-    M = _build_matrix(args)
+    M, _ = _build_matrix(args)
     out = Path(args.out)
     mx.write_sparse(M, out)
     _dump_json(_matrix_sidecar(M), _sidecar_for(out))
@@ -177,7 +176,7 @@ def cmd_construct(args) -> int:
 # -- sign ----------------------------------------------------------------------
 
 
-def _apply_scheme(M, scheme_text, sidecar):
+def _apply_scheme(M, scheme_text, design):
     if scheme_text == "ones":
         return M, {"kind": "all_ones"}
     if scheme_text.startswith("random:"):
@@ -185,27 +184,39 @@ def _apply_scheme(M, scheme_text, sidecar):
         signed = sg.randomize_signs(M, seed)
         return signed, signed.meta["sign_scheme"]
     if scheme_text == "balanced":
-        field = parse_descriptor(sidecar["field"])
-        design = cons.build_design(sidecar["family"], field, sidecar["params"])
+        if design is None:
+            raise PreconditionError(
+                f"no evaluation design for family {M.meta['family']!r}")
         signed = sg.balanced_matrix(design)
         return signed, signed.meta["sign_scheme"]
     raise PreconditionError(f"unknown sign scheme {scheme_text!r}")
 
 
-def _write_signed(M, scheme_text, sidecar, out):
-    """Sign M, write it and its sidecar to out, and return the signed matrix."""
-    signed, scheme = _apply_scheme(M, scheme_text, sidecar)
+def _write_signed(M, scheme_text, design, sidecar, out):
+    """Sign M, write it and its sidecar to out; return both."""
+    signed, scheme = _apply_scheme(M, scheme_text, design)
+    sidecar = {**sidecar, "sign_scheme": scheme}
     mx.write_sparse(signed, out)
-    _dump_json({**sidecar, "sign_scheme": scheme}, _sidecar_for(out))
-    return signed
+    _dump_json(sidecar, _sidecar_for(out))
+    return signed, sidecar
 
 
 def cmd_sign(args) -> int:
     sidecar = _load_sidecar(args.design)
     M = mx.read_sparse(args.infile, meta={k: sidecar.get(k) for k in
                                           ("family", "params", "field")})
+    if (sidecar.get("n"), sidecar.get("N")) != (M.n, M.N):
+        raise PreconditionError(
+            f"{args.infile} is {M.n} x {M.N}, but {args.design} describes a "
+            f"{sidecar.get('n')} x {sidecar.get('N')} matrix")
+    design = None
+    if args.scheme == "balanced":
+        design = _sidecar_design(sidecar)
+        if M != cons.evaluation_matrix(design):
+            raise PreconditionError(f"{args.infile} is not the unsigned matrix "
+                                    f"of the design {args.design} describes")
     out = Path(args.out)
-    _write_signed(M, args.scheme, sidecar, out)
+    _write_signed(M, args.scheme, design, sidecar, out)
     _write_manifest("sign", _args_dict(args), [args.infile, args.design],
                     [out, _sidecar_for(out)], _manifest_for(out))
     print(f"wrote {out}", file=sys.stderr)
@@ -218,44 +229,24 @@ _ANALYZE_KEYS = ("family", "params", "field", "sign_scheme")
 _FUNCTION_SPACE_FAMILIES = ("devore", "projspace", "ruled", "toric")
 
 
-def _design_of(meta):
-    """The evaluation design that unsigned or balanced metadata of a
-    function-space family names, else None."""
-    kind = (meta.get("sign_scheme") or {}).get("kind")
-    if (meta.get("family") not in _FUNCTION_SPACE_FAMILIES
-            or kind not in ("all_ones", "balanced")):
-        return None
-    return cons.build_design(meta["family"], parse_descriptor(meta["field"]),
-                             meta["params"])
-
-
 def _is_function_space(M, design) -> bool:
     """Whether M is, array for array, the matrix its metadata names: the
-    unsigned evaluation matrix of design, or its balanced signing with p odd.
-    Only such a matrix may skip the pairwise scan (see
+    unsigned evaluation matrix of design, or its balanced signing.  Only
+    such a matrix may skip the pairwise scan (see
     matrix._function_space_scan)."""
     if (design is None or M.N != design.num_columns
             or M.N > cons.MATERIALIZE_CAP):
         return False
-    if M.meta["sign_scheme"]["kind"] == "all_ones":
+    kind = M.meta["sign_scheme"]["kind"]
+    if kind == "all_ones":
         return M == cons.evaluation_matrix(design)
-    return design.field.p != 2 and M == sg.balanced_matrix(design)
+    return kind == "balanced" and M == sg.balanced_matrix(design)
 
 
-def _certificate_if_balanced(M, design, report, log_base):
-    """The balanced certificate, reusing the report's mu and omega_signed."""
-    if design is None or M.meta["sign_scheme"]["kind"] != "balanced":
-        return None
-    cert = sg.certify_strong_coherence(M, design, log_base=log_base,
-                                       _mu=report.mu,
-                                       _omega=report.omega_signed)
-    return cert.to_dict()
-
-
-def _analysis(M, args) -> dict:
+def _analysis(M, args, design) -> dict:
     """The analyze payload: M's report, its sign scheme and, for balanced
-    designs, the certificate; M.meta holds the sidecar's _ANALYZE_KEYS."""
-    design = _design_of(M.meta)
+    designs, the certificate; M.meta holds the sidecar's _ANALYZE_KEYS and
+    design is the evaluation design they name, or None."""
     report = mx.coherence_report(M, log_base=args.log_base,
                                  omega_mode=args.omega_mode,
                                  pair_cap=args.pair_cap,
@@ -263,19 +254,24 @@ def _analysis(M, args) -> dict:
     payload = report.to_dict()
     if M.meta.get("sign_scheme") is not None:
         payload["sign_scheme"] = M.meta["sign_scheme"]
-    certificate = _certificate_if_balanced(M, design, report, args.log_base)
-    if certificate is not None:
-        payload["strong_coherence_certificate"] = certificate
+        if design is not None and M.meta["sign_scheme"]["kind"] == "balanced":
+            payload["strong_coherence_certificate"] = (
+                sg.certify_strong_coherence(design, report).to_dict())
     return payload
 
 
 def cmd_analyze(args) -> int:
-    meta = {}
+    meta, design = {}, None
     sidecar_path = _sidecar_for(args.infile)
     if os.path.exists(sidecar_path):
         sidecar = _load_sidecar(sidecar_path)
         meta = {k: sidecar.get(k) for k in _ANALYZE_KEYS}
-    payload = _analysis(mx.read_sparse(args.infile, meta=meta), args)
+        # only an unsigned or balanced function-space matrix uses its design
+        if (meta["family"] in _FUNCTION_SPACE_FAMILIES
+                and (meta["sign_scheme"] or {}).get("kind")
+                in ("all_ones", "balanced")):
+            design = _sidecar_design(meta)
+    payload = _analysis(mx.read_sparse(args.infile, meta=meta), args, design)
     if args.out:
         _dump_json(payload, args.out)
         _write_manifest("analyze", _args_dict(args), [args.infile],
@@ -301,9 +297,7 @@ def cmd_verify(args) -> int:
     elif args.check == "diff-trick":
         if not args.design:
             raise SystemExit(_usage_error("--check diff-trick needs --design"))
-        sidecar = _load_sidecar(args.design)
-        field = parse_descriptor(sidecar["field"])
-        design = cons.build_design(sidecar["family"], field, sidecar["params"])
+        design = _sidecar_design(_load_sidecar(args.design))
         oracle = ver.coherence_via_differences(design)
         fast = None
         if design.num_columns <= mx.DEFAULT_PAIR_CAP:
@@ -391,28 +385,29 @@ def cmd_pipeline(args) -> int:
     outdir = Path(args.out_dir)
     matrix_path = outdir / "matrix.agrip"
     construct_args = argparse.Namespace(**{**vars(args), "out": str(matrix_path)})
-    M = _build_matrix(construct_args)
+    M, design = _build_matrix(construct_args)
     if args.recover_k:
         k_values = rec.check_sweep(M, k_values)
     outdir.mkdir(parents=True, exist_ok=True)
     mx.write_sparse(M, matrix_path)
-    _dump_json(_matrix_sidecar(M), _sidecar_for(matrix_path))
+    sidecar = _matrix_sidecar(M)
+    _dump_json(sidecar, _sidecar_for(matrix_path))
     artifacts = [matrix_path, Path(_sidecar_for(matrix_path))]
 
-    current, Mc = matrix_path, M
+    Mc = M
     if args.sign_scheme and args.sign_scheme != "ones":
-        current = outdir / "signed.agrip"
-        Mc = _write_signed(M, args.sign_scheme,
-                           _load_sidecar(_sidecar_for(matrix_path)), current)
-        artifacts += [current, Path(_sidecar_for(current))]
+        signed_path = outdir / "signed.agrip"
+        Mc, sidecar = _write_signed(M, args.sign_scheme, design, sidecar,
+                                    signed_path)
+        artifacts += [signed_path, Path(_sidecar_for(signed_path))]
 
-    # the later stages see the matrix with the metadata a read-back of
-    # `current` would give it: the sidecar's keys for analyze, none for recover
+    # the later stages see the matrix with the metadata a read-back of the
+    # last file would give it: its sidecar's keys for analyze, none for recover
     if args.analyze:
         report_path = outdir / "report.json"
-        sidecar = _load_sidecar(_sidecar_for(current))
         payload = _analysis(_with_meta(Mc, {k: sidecar.get(k)
-                                            for k in _ANALYZE_KEYS}), args)
+                                            for k in _ANALYZE_KEYS}), args,
+                            design)
         _dump_json(payload, report_path)
         artifacts.append(report_path)
 
@@ -443,17 +438,13 @@ def cmd_replay(args) -> int:
         # re-root every output path into the replay directory
         outdir = Path(args.out_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        mapping = {}
-        for old in manifest["outputs"]:
-            new = outdir / Path(old).name
-            mapping[old] = str(new)
+        mapping = {old: str(outdir / Path(old).name)
+                   for old in manifest["outputs"]}
         for key in ("out", "out_dir"):
             if stored.get(key) in mapping:
                 stored[key] = mapping[stored[key]]
         if sub == "pipeline":
             stored["out_dir"] = str(outdir)
-            mapping = {old: str(outdir / Path(old).name)
-                       for old in manifest["outputs"]}
     else:
         mapping = {old: old for old in manifest["outputs"]}
     ns = argparse.Namespace(**stored)

@@ -288,22 +288,25 @@ def iter_evaluation_columns(design: EvaluationDesign,
 # ---------------------------------------------------------------------------
 
 
-def devore(field: FieldSpec, r: int,
-           materialize_cap: int = MATERIALIZE_CAP) -> MeasurementMatrix:
-    """q^2 x q^r graph-indicator matrix of polynomials of degree <= r-1.
-
-    Entry 1 at row (a, b) iff f(a) = b; row index = code(a) * q + code(b).
-    Each column has exactly q ones.  This is evaluation_matrix of the
-    projective line's degree-(r-1) design, labelled as the devore family.
-    """
+def devore_design(field: FieldSpec, r: int) -> EvaluationDesign:
+    """The projective line's degree-(r-1) design, labelled as the devore
+    family, once 2 <= r <= q and q^r <= MATERIALIZE_CAP are checked."""
     q = field.q
     if not (2 <= r <= q):
         raise PreconditionError(f"need 2 <= r <= q, got r={r}, q={q}")
     N = q ** r
-    if N > materialize_cap:
-        raise ColumnCapExceeded(f"q^r = {N} exceeds the cap {materialize_cap}")
-    return evaluation_matrix(build_design("devore", field, {"r": r}),
-                             materialize_cap)
+    if N > MATERIALIZE_CAP:
+        raise ColumnCapExceeded(f"q^r = {N} exceeds the cap {MATERIALIZE_CAP}")
+    return build_design("devore", field, {"r": r})
+
+
+def devore(field: FieldSpec, r: int) -> MeasurementMatrix:
+    """q^2 x q^r graph-indicator matrix of polynomials of degree <= r-1.
+
+    Entry 1 at row (a, b) iff f(a) = b; row index = code(a) * q + code(b).
+    Each column has exactly q ones: evaluation_matrix(devore_design(field, r)).
+    """
+    return evaluation_matrix(devore_design(field, r))
 
 
 # ---------------------------------------------------------------------------

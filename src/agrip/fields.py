@@ -310,10 +310,6 @@ class FieldSpec:
     def one(self) -> FieldElement:
         return FieldElement(self, 1)
 
-    @property
-    def theta_element(self) -> FieldElement:
-        return FieldElement(self, self.theta)
-
     def elements(self):
         for code in range(self.q):
             yield FieldElement(self, code)

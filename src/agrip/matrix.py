@@ -16,12 +16,16 @@ The pairwise scan is capped (default 20000 columns); above the cap it
 refuses to run rather than blow up at O(N^2).
 
 A function-space matrix (evaluation_matrix of an F_q-linear design, or its
-balanced signing with p odd) needs no pairwise scan: G_fg = +-#zeros(f - g),
-so every Gram row is a permutation of the row of the zero function, column 0.
-_function_space_scan builds the same tuple from three O(nnz) products and no
-pair cap applies.  The caller vouches for the structure (the CLI compares M
-with the matrix rebuilt from its sidecar); coherence_report(function_space=
-True) takes that path.
+balanced signing) needs no pairwise scan.  Column f's entry at point P is
+(-1)^(lambda(P) + pi_P(f)), both terms 0 when unsigned.  For odd p, pi_P(f)
+does not depend on P, so G_fg = +-#zeros(f - g); for p = 2, pi_P is
+F_2-linear in f's coefficients, so G_fg = sum over the zeros P of h = f + g
+of (-1)^pi_P(h).  Either way |row f| of G is a permutation of |row 0|, the
+zero function's, that fixes the diagonal.  _function_space_scan builds the
+same tuple from row 0 and one row-sum product, all O(nnz), and no pair cap
+applies.  The caller vouches for the structure (the CLI compares M with the
+matrix rebuilt from its sidecar); coherence_report(function_space=True)
+takes that path.
 
 On-disk format AGRIP-SPARSE, bit-exact:
     line 1: "AGRIP-SPARSE 1 <n> <N> <nnz>"
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -57,6 +61,7 @@ from .exact import (
     SurdSum,
     as_exact,
     exact_decimal,
+    exact_leq,
     exact_ratio_sqrt,
     floor_reciprocal,
     leq_reciprocal_log,
@@ -262,7 +267,7 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int,
     if M.N > pair_cap:
         raise PairScanCapExceeded(
             f"{M.N} columns exceed the pairwise cap {pair_cap}; raise the "
-            "cap explicitly (only unsigned or odd-p balanced function-space "
+            "cap explicitly (only unsigned or balanced function-space "
             "matrices are reported without the pairwise scan)")
     order = np.argsort(M.sqnorms(), kind="stable")
     c = M.sqnorms()[order]
@@ -312,27 +317,22 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int,
 
 
 def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
-    """The _gram_scan tuple of a function-space matrix, from three products.
+    """The _gram_scan tuple of a function-space matrix, from Gram row 0.
 
-    M must be evaluation_matrix(design) or its balanced signing with p odd;
-    this is not checked.  Column 0 is the zero function, so with |A| the
-    unsigned matrix, row 0 of |A|^T |A| holds every |G_fg| = #zeros(f - g).
-    The balanced signs factor as (sign of the point) * (sign of the column),
-    so |G| = |A|^T |A|, and the row sums of G and |G| are A^T (A 1) and
-    |A|^T (|A| 1), less the diagonal c.
+    M must be evaluation_matrix(design) or its balanced signing; this is
+    not checked.  Column 0 is the zero function, and every |row f| of G is
+    a permutation of |row 0| that fixes the diagonal (see the module
+    docstring), so pair_max is max_g |G_0g| and every absolute row sum is
+    sum_g |G_0g|, g != 0.  The signed row sums are A^T (A 1) less the
+    diagonal c, as for any matrix.
     """
     _check_gram_input(M)
     c = M.sqnorms()
     A = M.to_csc()
-    absA = A if M.is_binary() else abs(A)
-    zero_function = np.zeros(M.n, dtype=np.int64)
-    zero_function[M.column(0)[0]] = 1
-    row0 = absA.T @ zero_function
+    row0 = np.abs(A.T @ _densify(M.n, M.indptr[:2], M.indices, M.data)[:, 0])
     row0[0] = 0
-    ones = np.ones(M.N, dtype=np.int64)
-    signed = A.T @ (A @ ones) - c
-    absolute = signed if absA is A else absA.T @ (absA @ ones) - c
-    return _GramScan(c[:1], c, signed[:, None], absolute[:, None],
+    signed = A.T @ (A @ np.ones(M.N, dtype=np.int64)) - c
+    return _GramScan(c[:1], c, signed[:, None], np.full((M.N, 1), row0.sum()),
                      row0.max(keepdims=True)[:, None])
 
 
@@ -371,19 +371,17 @@ def _average_coherence_from(scan: _GramScan, mode: str):
     return as_exact(best / (N - 1))
 
 
-def coherence(M: MeasurementMatrix, pair_cap: int = DEFAULT_PAIR_CAP,
-              block: int | None = None):
+def coherence(M: MeasurementMatrix, pair_cap: int = DEFAULT_PAIR_CAP):
     """Exact coherence max_{i<j} |<phi_i,phi_j>| / (||phi_i|| ||phi_j||).
 
     Returns a Fraction when the value is rational (always the case when all
     columns share a squared norm), else a single-radicand SurdSum.
     """
-    return _coherence_from(_gram_scan(M, pair_cap, block))
+    return _coherence_from(_gram_scan(M, pair_cap))
 
 
 def average_coherence(M: MeasurementMatrix, mode: str = "absolute",
-                      pair_cap: int = DEFAULT_PAIR_CAP,
-                      block: int | None = None):
+                      pair_cap: int = DEFAULT_PAIR_CAP):
     """Exact average coherence.
 
     absolute: (1/(N-1)) max_i sum_{j != i} |<phi_i,phi_j>| / (||phi_i|| ||phi_j||)
@@ -394,7 +392,7 @@ def average_coherence(M: MeasurementMatrix, mode: str = "absolute",
     """
     if mode not in ("absolute", "signed"):
         raise PreconditionError(f"unknown average-coherence mode {mode!r}")
-    return _average_coherence_from(_gram_scan(M, pair_cap, block), mode)
+    return _average_coherence_from(_gram_scan(M, pair_cap), mode)
 
 
 def welch_bound(n: int, N: int) -> float:
@@ -441,26 +439,15 @@ class StrongCoherenceVerdict:
         return self.cond1 and self.cond2
 
     def to_dict(self):
-        return {"cond1": self.cond1, "cond2": self.cond2,
-                "log_base": self.log_base, "omega_mode": self.omega_mode}
+        return asdict(self)
 
 
-def strong_coherence_check(M: MeasurementMatrix, log_base: str = "natural",
-                           omega_mode: str = "signed",
-                           pair_cap: int = DEFAULT_PAIR_CAP,
-                           _mu=None, _omega=None) -> StrongCoherenceVerdict:
-    """Evaluate mu <= 1/(160 log N) and omega <= mu/sqrt(n), both exact."""
-    if M.N < 2:
-        raise SingleColumn("strong coherence check needs at least two columns")
-    mu = coherence(M, pair_cap=pair_cap) if _mu is None else _mu
-    omega = (average_coherence(M, mode=omega_mode, pair_cap=pair_cap)
-             if _omega is None else _omega)
-    cond1 = leq_reciprocal_log(mu, M.N, 160, log_base)
-    mu_surd = mu if isinstance(mu, SurdSum) else SurdSum.from_fraction(mu)
-    rhs = mu_surd.times_sqrt(M.n) / M.n  # mu / sqrt(n)
-    omega_surd = omega if isinstance(omega, SurdSum) else SurdSum.from_fraction(omega)
-    cond2 = omega_surd <= rhs
-    return StrongCoherenceVerdict(cond1, cond2, log_base, omega_mode)
+def _verdict(mu, omega, n: int, N: int, log_base: str,
+             omega_mode: str) -> StrongCoherenceVerdict:
+    """mu <= 1/(160 log N) and omega <= mu/sqrt(n), both exact."""
+    rhs = (SurdSum() + mu).times_sqrt(n) / n  # mu / sqrt(n)
+    return StrongCoherenceVerdict(leq_reciprocal_log(mu, N, 160, log_base),
+                                  exact_leq(omega, rhs), log_base, omega_mode)
 
 
 # -- reports ------------------------------------------------------------------
@@ -498,10 +485,9 @@ class CoherenceReport:
     sparsity_bound: int
     orthonormal: bool
     strong_coherence: StrongCoherenceVerdict
-    extras: dict = dataclass_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "family": self.family,
             "params": self.params,
             "n": self.n,
@@ -514,8 +500,6 @@ class CoherenceReport:
             "orthonormal": self.orthonormal,
             "strong_coherence": self.strong_coherence.to_dict(),
         }
-        out.update(self.extras)
-        return out
 
 
 def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
@@ -533,10 +517,8 @@ def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
     welch = welch_bound(M.n, M.N) if M.N > M.n else None
     orthonormal = not as_exact(mu)
     k = sparsity_order_bound(mu, n=M.n)
-    omega_for_verdict = omega_signed if omega_mode == "signed" else omega_absolute
-    verdict = strong_coherence_check(M, log_base, omega_mode,
-                                     pair_cap=pair_cap,
-                                     _mu=mu, _omega=omega_for_verdict)
+    verdict = _verdict(mu, omega_signed if omega_mode == "signed"
+                       else omega_absolute, M.n, M.N, log_base, omega_mode)
     return CoherenceReport(
         family=M.meta.get("family", "unknown"),
         params=M.meta.get("params", {}),

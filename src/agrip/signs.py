@@ -14,9 +14,12 @@ Three schemes:
   the Hamming-weight parity of (Tr(a_i)) over all i except a per-point pivot
   index, the first basis function not vanishing at b.
 
-Because the balanced parity is constant per column for odd p, inner products
-keep their unsigned absolute value (products of two fixed signs), so the
-coherence of a balanced matrix equals the unsigned agreement maximum.
+For odd p the parity is constant along each column, so G_fg =
++-#zeros(f - g) and the coherence equals the unsigned agreement maximum.  For
+p = 2 it is F_2-linear in the coefficients at each point, so G_fg depends on
+f + g only, and signs can cancel within an agreement set.  Either way every
+Gram row is, in absolute value, a permutation of the zero function's row,
+which is how matrix._function_space_scan reports a balanced matrix.
 """
 
 from __future__ import annotations
@@ -35,13 +38,15 @@ from .errors import (
 from .exact import leq_reciprocal_log
 from .constructions import EvaluationDesign, evaluation_blocks
 from .matrix import (
-    DEFAULT_PAIR_CAP,
+    CoherenceReport,
     MeasurementMatrix,
     StrongCoherenceVerdict,
-    average_coherence,
-    coherence,
-    strong_coherence_check,
+    _exact_json,
+    _verdict,
 )
+# Re-exported, not called here: the perfbench tracer patches these aliases,
+# and perfbench/tests/test_harness.py checks that it does.
+from .matrix import average_coherence, coherence  # noqa: F401
 
 
 @dataclass
@@ -184,7 +189,6 @@ class BalancedCertificate:
         return self.condition_a and self.condition_b
 
     def to_dict(self) -> dict:
-        from .matrix import _exact_json
         return {
             "condition_a": self.condition_a,
             "condition_b": self.condition_b,
@@ -196,26 +200,19 @@ class BalancedCertificate:
         }
 
 
-def certify_strong_coherence(M: MeasurementMatrix, design: EvaluationDesign,
-                             log_base: str = "natural",
-                             pair_cap: int = DEFAULT_PAIR_CAP,
-                             _mu=None, _omega=None) -> BalancedCertificate:
-    """Evaluate the balanced-scheme certification conditions and the truth.
-
-    _mu and _omega (signed) may carry values already computed for M, as in
-    strong_coherence_check; the Gram scans then are not repeated.
-    """
+def certify_strong_coherence(design: EvaluationDesign,
+                             report: CoherenceReport) -> BalancedCertificate:
+    """The balanced-scheme sufficient conditions on design, and the ground
+    truth read off report, the coherence_report of the design's matrix."""
     field = design.field
     B = design.size
+    log_base = report.strong_coherence.log_base
     # a) N(D) > sqrt(|B|)/(p sqrt(q)), exactly: N(D)^2 p^2 q > |B|
     cond_a = design.bound_on_zeros ** 2 * field.p ** 2 * field.q > B
     # b) T <= |B| / (160 log q)
     cond_b = leq_reciprocal_log(Fraction(design.T, B), field.q, 160, log_base)
-    mu = coherence(M, pair_cap=pair_cap) if _mu is None else _mu
-    omega = (average_coherence(M, "signed", pair_cap=pair_cap)
-             if _omega is None else _omega)
-    verdict = strong_coherence_check(M, log_base, "signed",
-                                     pair_cap=pair_cap, _mu=mu, _omega=omega)
+    verdict = _verdict(report.mu, report.omega_signed, report.n, report.N,
+                       log_base, "signed")
     return BalancedCertificate(condition_a=bool(cond_a), condition_b=bool(cond_b),
-                               ground_truth=verdict, mu=mu,
-                               omega_signed=omega, log_base=log_base)
+                               ground_truth=verdict, mu=report.mu,
+                               omega_signed=report.omega_signed, log_base=log_base)

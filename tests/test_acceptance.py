@@ -43,7 +43,7 @@ from agrip.constructions import (
     ruled_surface_design,
     toric_design,
 )
-from agrip.matrix import average_coherence, coherence, strong_coherence_check
+from agrip.matrix import average_coherence, coherence, coherence_report
 from agrip.signs import (
     balanced_matrix,
     certify_strong_coherence,
@@ -118,7 +118,7 @@ def test_criterion_03_strong_coherence_negatives():
                  evaluation_matrix(projective_space_design(make_field(3), 2, 1))]
     for M in instances:
         for base in ("natural", "base2", "base10"):
-            verdict = strong_coherence_check(M, log_base=base)
+            verdict = coherence_report(M, log_base=base).strong_coherence
             if verdict.satisfied:
                 failures.append((M.meta["family"], base))
     report(3, not failures, "2 instances x 3 log bases, all rejected")
@@ -445,7 +445,7 @@ def test_criterion_11_recovery():
 
     design = ruled_surface_design(make_field(37), 1, 0)
     Mb = balanced_matrix(design)
-    cert = certify_strong_coherence(Mb, design)
+    cert = certify_strong_coherence(design, coherence_report(Mb))
     certified = cert.sufficient_ok
     ost_report = run_experiment(Mb, [2], trials=500, sigma=0.05, seed=12,
                                 algorithm="ost")

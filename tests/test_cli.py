@@ -112,6 +112,36 @@ def test_sign_balanced_round_trip(tmp_path):
     assert sidecar["sign_scheme"]["kind"] == "balanced"
 
 
+def test_sign_rejects_a_matrix_its_design_sidecar_does_not_describe(
+        tmp_path, capsys):
+    for r in ("2", "3"):
+        run_cli("construct", "--family", "devore", "--field", "5", "--r", r,
+                "--out", str(tmp_path / f"r{r}.agrip"))
+    for scheme in ("balanced", "random:1"):
+        out = tmp_path / "s.agrip"
+        assert run_cli("sign", "--scheme", scheme, "--in",
+                       str(tmp_path / "r3.agrip"), "--design",
+                       str(tmp_path / "r2.agrip.json"), "--out", str(out)) == 2
+        assert "is 25 x 125" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sign_balanced_rejects_an_input_that_is_not_the_unsigned_matrix(
+        tmp_path, capsys):
+    out = tmp_path / "d.agrip"
+    run_cli("construct", "--family", "devore", "--field", "5", "--r", "2",
+            "--out", str(out))
+    design = str(tmp_path / "d.agrip.json")
+    signed = tmp_path / "s.agrip"
+    assert run_cli("sign", "--scheme", "random:1", "--in", str(out),
+                   "--design", design, "--out", str(signed)) == 0
+    assert run_cli("sign", "--scheme", "balanced", "--in", str(signed),
+                   "--design", design,
+                   "--out", str(tmp_path / "b.agrip")) == 2
+    assert "is not the unsigned matrix" in capsys.readouterr().err
+    assert not (tmp_path / "b.agrip").exists()
+
+
 def test_sign_random_reproducible(tmp_path):
     out = tmp_path / "d.agrip"
     run_cli("construct", "--family", "devore", "--field", "3", "--r", "2",
@@ -336,17 +366,18 @@ def test_malformed_field_and_numbers_exit_2(tmp_path, capsys):
 
 
 def test_balanced_certificate_reuses_report_numbers(tmp_path, monkeypatch):
-    import agrip.signs
+    import agrip.matrix
 
-    def no_rescan(*args, **kwargs):
-        raise AssertionError("the certificate scanned the Gram again")
-
-    monkeypatch.setattr(agrip.signs, "coherence", no_rescan)
-    monkeypatch.setattr(agrip.signs, "average_coherence", no_rescan)
+    calls = []
+    for name in ("_gram_scan", "_function_space_scan"):
+        real = getattr(agrip.matrix, name)
+        monkeypatch.setattr(agrip.matrix, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
     outdir = tmp_path / "bal"
     assert run_cli("pipeline", "--family", "devore", "--field", "5", "--r", "2",
                    "--sign-scheme", "balanced", "--analyze",
                    "--out-dir", str(outdir)) == 0
+    assert len(calls) == 1
     report = json.loads((outdir / "report.json").read_text())
     cert = report["strong_coherence_certificate"]
     assert cert["mu"] == report["mu"]
@@ -354,15 +385,17 @@ def test_balanced_certificate_reuses_report_numbers(tmp_path, monkeypatch):
 
 
 def test_pair_cap_bounds_only_the_pairwise_scan(tmp_path):
-    # balanced devore F_5 r=2 (N = 25) is reported from its function space
-    reports = []
-    for cap in ("10", "20000"):
-        outdir = tmp_path / f"bal-{cap}"
-        assert run_cli("pipeline", "--family", "devore", "--field", "5",
-                       "--r", "2", "--sign-scheme", "balanced", "--analyze",
-                       "--pair-cap", cap, "--out-dir", str(outdir)) == 0
-        reports.append((outdir / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    # balanced devore F_5 r=2 (N = 25) and F_4 r=2 (N = 16) are reported
+    # from their function space
+    for field in ("5", "2^2"):
+        reports = []
+        for cap in ("10", "20000"):
+            outdir = tmp_path / f"bal-{field}-{cap}"
+            assert run_cli("pipeline", "--family", "devore", "--field", field,
+                           "--r", "2", "--sign-scheme", "balanced", "--analyze",
+                           "--pair-cap", cap, "--out-dir", str(outdir)) == 0
+            reports.append((outdir / "report.json").read_bytes())
+        assert reports[0] == reports[1]
     # random signs do not factor, so that matrix still needs the pair scan
     assert run_cli("pipeline", "--family", "devore", "--field", "5", "--r", "2",
                    "--sign-scheme", "random:1", "--analyze", "--pair-cap", "10",

@@ -1,8 +1,8 @@
 """The function-space scan against the pairwise Gram scan, its oracle.
 
 _function_space_scan must return the very tuple _gram_scan returns for the
-unsigned evaluation matrix of every F_q-linear design, and for its balanced
-signing when p is odd; its mu must equal the difference trick.
+unsigned evaluation matrix of every F_q-linear design and for its balanced
+signing, p = 2 included; its mu must equal the difference trick.
 """
 
 import numpy as np
@@ -48,10 +48,9 @@ DESIGNS = [
 
 
 def _matrices(design):
-    """The unsigned matrix and, for odd p, the balanced one."""
+    """The unsigned matrix and the balanced one."""
     yield "unsigned", evaluation_matrix(design)
-    if design.field.p != 2:
-        yield "balanced", balanced_matrix(design)
+    yield "balanced", balanced_matrix(design)
 
 
 def _assert_scans_agree(M):
@@ -78,6 +77,19 @@ def test_function_space_scan_equals_the_gram_scan(family, field, params):
     for kind, M in _matrices(design):
         fast = _assert_scans_agree(M)
         assert _coherence_from(fast) == mu, kind
+
+
+@pytest.mark.parametrize("field", [(2, 2), (2, 3), (3, 2)],
+                         ids=["F4", "F8", "F9"])
+def test_function_space_scan_equals_the_gram_scan_with_a_reversed_basis(field):
+    """Basis x^2, x, 1: at x = 0 the first nonvanishing basis function is 1,
+    elsewhere x^2, so the p = 2 balanced signs' pivot varies by point."""
+    base = build_design("devore", make_field(*field), {"r": 3})
+    design = EvaluationDesign(base.field, base.points, base.basis_names[::-1],
+                              base.table[::-1], base.bound_on_zeros,
+                              base.family, base.params)
+    for _, M in _matrices(design):
+        _assert_scans_agree(M)
 
 
 _FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]

@@ -26,6 +26,8 @@ from agrip.matrix import (
     DEFAULT_PAIR_CAP,
     MeasurementMatrix,
     _IO_BLOCK,
+    _average_coherence_from,
+    _coherence_from,
     _function_space_scan,
     _gram_scan,
     _gram_tile,
@@ -34,7 +36,6 @@ from agrip.matrix import (
     coherence_report,
     read_sparse,
     sparsity_order_bound,
-    strong_coherence_check,
     welch_bound,
     welch_bound_squared,
     write_sparse,
@@ -126,13 +127,14 @@ def test_sparsity_order_bound():
 
 
 def test_strong_coherence_identity_passes():
-    verdict = strong_coherence_check(identity_matrix(3))
+    verdict = coherence_report(identity_matrix(3)).strong_coherence
     assert verdict.cond1 and verdict.cond2 and verdict.satisfied
 
 
 def test_strong_coherence_devore_fails():
     for base in ("natural", "base2", "base10"):
-        verdict = strong_coherence_check(devore(make_field(5), 3), log_base=base)
+        verdict = coherence_report(devore(make_field(5), 3),
+                                   log_base=base).strong_coherence
         assert not verdict.cond1
         assert not verdict.satisfied
 
@@ -474,11 +476,13 @@ def test_column_list_and_arrays_give_one_matrix():
 def test_thread_count_does_not_change_results(monkeypatch):
     M = fermat_hyperplane_matrix(make_field(2, 2))
     monkeypatch.setenv("AGRIP_THREADS", "1")
-    mu1 = coherence(M, block=16)
-    om1 = average_coherence(M, "signed", block=16)
+    scan1 = _gram_scan(M, DEFAULT_PAIR_CAP, 16)
+    mu1 = _coherence_from(scan1)
+    om1 = _average_coherence_from(scan1, "signed")
     monkeypatch.setenv("AGRIP_THREADS", "4")
-    mu4 = coherence(M, block=16)
-    om4 = average_coherence(M, "signed", block=16)
+    scan4 = _gram_scan(M, DEFAULT_PAIR_CAP, 16)
+    mu4 = _coherence_from(scan4)
+    om4 = _average_coherence_from(scan4, "signed")
     assert mu1 == mu4
     assert om1 == om4
 
@@ -559,9 +563,9 @@ def test_gram_scan_does_not_depend_on_the_block_size(M, dense, monkeypatch):
         scan = _gram_scan(M, DEFAULT_PAIR_CAP, block)
         for got, want in zip(scan, ref):
             assert np.array_equal(got, want)
-        assert coherence(M, block=block) == coherence(M)
+        assert _coherence_from(scan) == coherence(M)
         for mode in ("signed", "absolute"):
-            assert (average_coherence(M, mode, block=block)
+            assert (_average_coherence_from(scan, mode)
                     == average_coherence(M, mode))
     # 16-column tiles: each slab walks several tiles, and the norm groups
     # straddle their edges

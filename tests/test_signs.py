@@ -11,7 +11,7 @@ from agrip.constructions import (
     projective_space_design,
     ruled_surface_design,
 )
-from agrip.matrix import average_coherence, coherence
+from agrip.matrix import average_coherence, coherence, coherence_report
 from agrip.signs import (
     balanced_coloring,
     balanced_matrix,
@@ -215,7 +215,7 @@ def test_monte_carlo_pair_mean_matches_expectation():
 def test_certify_ruled_f37_sufficient_conditions_hold():
     design = ruled_surface_design(make_field(37), 1, 0)
     Mb = balanced_matrix(design)
-    cert = certify_strong_coherence(Mb, design)
+    cert = certify_strong_coherence(design, coherence_report(Mb))
     assert cert.condition_a and cert.condition_b and cert.sufficient_ok
     # the actual matrix still fails the direct mu inequality
     assert not cert.ground_truth.cond1
@@ -225,7 +225,7 @@ def test_certify_ruled_f37_sufficient_conditions_hold():
 def test_certify_unsigned_devore_fails_ground_truth():
     design = projective_space_design(make_field(5), 1, 1)
     M = evaluation_matrix(design)
-    cert = certify_strong_coherence(M, design)
+    cert = certify_strong_coherence(design, coherence_report(M))
     assert not cert.ground_truth.satisfied
     # omega of the unsigned construction: (q^{T-1} - 1)/(q^T - 1)
     assert cert.omega_signed == Fraction(5 - 1, 25 - 1)
@@ -240,7 +240,7 @@ def test_randomize_rejects_bad_seed():
 def test_certify_characteristic_two_balanced():
     design = ruled_surface_design(make_field(2, 2), 1, 1)
     Mb = balanced_matrix(design)
-    cert = certify_strong_coherence(Mb, design)
+    cert = certify_strong_coherence(design, coherence_report(Mb))
     # exact values computed on the actual matrix; the signed average
     # coherence can only improve on the unsigned construction's
     unsigned_omega = Fraction(4 ** (design.T - 1) - 1, 4 ** design.T - 1)
@@ -251,7 +251,7 @@ def test_certify_characteristic_two_balanced():
 def test_certify_unsigned_construction_c_omega():
     design = projective_space_design(make_field(3), 2, 1)
     M = evaluation_matrix(design)
-    cert = certify_strong_coherence(M, design)
+    cert = certify_strong_coherence(design, coherence_report(M))
     q, T = 3, design.T
     assert cert.omega_signed == Fraction(q ** (T - 1) - 1, q ** T - 1)
     assert not cert.ground_truth.satisfied

@@ -44,7 +44,6 @@ from .constructions import (
     evaluation_matrix,
     fermat_hyperplane_matrix,
     fermat_surface_points,
-    iter_evaluation_columns,
     plane_curve_census,
     plane_curve_matrix,
     projective_space_design,
@@ -53,8 +52,6 @@ from .constructions import (
 )
 from .signs import (
     BalancedCertificate,
-    SignScheme,
-    balanced_coloring,
     balanced_matrix,
     certify_strong_coherence,
     expected_abs_inner_product,

@@ -126,7 +126,7 @@ def _build_matrix(args):
         return cons.fermat_hyperplane_matrix(field), None
     if family == "devore":
         _require(args, "r")
-        design = cons.devore_design(field, args.r)
+        design = cons.build_design("devore", field, {"r": args.r})
     elif family == "projspace":
         _require(args, "dim", "r")
         design = cons.projective_space_design(field, args.dim, args.r)

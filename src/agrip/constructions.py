@@ -67,7 +67,6 @@ from .matrix import MeasurementMatrix
 
 BASIS_CAP = 24
 MATERIALIZE_CAP = 1 << 16
-STREAM_CAP = 1 << 24
 BLOCK_ENTRIES = 1 << 16  # values per evaluation block
 PLANE_ENUM_CAP = 2_000_000
 FERMAT_ORDER_CAP = 25  # cap on Q = q^2
@@ -158,17 +157,6 @@ class EvaluationDesign:
         if _rref(self.field, self.table)[1].sum() != self.T:
             raise RankDeficient("basis functions are linearly dependent on B")
 
-    def descriptor(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "field": self.field.descriptor,
-            "T": self.T,
-            "num_points": self.size,
-            "bound_on_zeros": self.bound_on_zeros,
-            "basis": list(self.basis_names),
-        }
-
     def __repr__(self):
         return (f"EvaluationDesign({self.family}, T={self.T}, "
                 f"|B|={self.size}, N={self.num_columns})")
@@ -241,13 +229,12 @@ def evaluation_blocks(field: FieldSpec, table: np.ndarray, codes):
         yield coeffs, evaluate_coefficient_block(field, table, coeffs)
 
 
-def evaluation_matrix(design: EvaluationDesign,
-                      materialize_cap: int = MATERIALIZE_CAP) -> MeasurementMatrix:
+def evaluation_matrix(design: EvaluationDesign) -> MeasurementMatrix:
     """Binary matrix with rows (value, point) and one column per function."""
     N = design.num_columns
-    if N > materialize_cap:
+    if N > MATERIALIZE_CAP:
         raise ColumnCapExceeded(
-            f"q^T = {N} exceeds the materialization cap {materialize_cap}")
+            f"q^T = {N} exceeds the materialization cap {MATERIALIZE_CAP}")
     q, B = design.field.q, design.size
     point_base = np.arange(B, dtype=np.int64) * q
     rows = [(point_base + vals).ravel() for _, vals in
@@ -269,44 +256,19 @@ def _matrix_from_blocks(n: int, sizes, rows, values, meta) -> MeasurementMatrix:
                                       rows, values, meta=meta)
 
 
-def iter_evaluation_columns(design: EvaluationDesign,
-                            stream_cap: int = STREAM_CAP):
-    """Yield (rows, values) per column without materializing the matrix."""
-    q = design.field.q
-    N = design.num_columns
-    if N > stream_cap:
-        raise ColumnCapExceeded(f"q^T = {N} exceeds the streaming cap {stream_cap}")
-    point_base = np.arange(design.size, dtype=np.int64) * q
-    ones = np.ones(design.size, dtype=np.int64)
-    for _, vals in evaluation_blocks(design.field, design.table, range(N)):
-        for row_vals in vals:
-            yield point_base + row_vals, ones
-
-
 # ---------------------------------------------------------------------------
 # DeVore
 # ---------------------------------------------------------------------------
-
-
-def devore_design(field: FieldSpec, r: int) -> EvaluationDesign:
-    """The projective line's degree-(r-1) design, labelled as the devore
-    family, once 2 <= r <= q and q^r <= MATERIALIZE_CAP are checked."""
-    q = field.q
-    if not (2 <= r <= q):
-        raise PreconditionError(f"need 2 <= r <= q, got r={r}, q={q}")
-    N = q ** r
-    if N > MATERIALIZE_CAP:
-        raise ColumnCapExceeded(f"q^r = {N} exceeds the cap {MATERIALIZE_CAP}")
-    return build_design("devore", field, {"r": r})
 
 
 def devore(field: FieldSpec, r: int) -> MeasurementMatrix:
     """q^2 x q^r graph-indicator matrix of polynomials of degree <= r-1.
 
     Entry 1 at row (a, b) iff f(a) = b; row index = code(a) * q + code(b).
-    Each column has exactly q ones: evaluation_matrix(devore_design(field, r)).
+    Each column has exactly q ones: the evaluation matrix of the devore
+    design of build_design.
     """
-    return evaluation_matrix(devore_design(field, r))
+    return evaluation_matrix(build_design("devore", field, {"r": r}))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +306,8 @@ def _pole_slot_matrix(field: FieldSpec, table: np.ndarray, num_poles: int,
                                meta)
 
 
-def construction_a_simple_poles(field: FieldSpec, poles, eval_points,
-                                materialize_cap: int = MATERIALIZE_CAP
-                                ) -> MeasurementMatrix:
+def construction_a_simple_poles(field: FieldSpec, poles,
+                                eval_points) -> MeasurementMatrix:
     """Simple poles at t distinct points of P^1; entries +1 at values, -1 at poles.
 
     Function space basis: 1, then 1/(x - g) per finite pole g, plus x if the
@@ -370,8 +331,8 @@ def construction_a_simple_poles(field: FieldSpec, poles, eval_points,
     if t + 1 > q:
         raise PreconditionError(f"need t + 1 <= q, got t={t}, q={q}")
     N = q ** (t + 1)
-    if N > materialize_cap:
-        raise ColumnCapExceeded(f"q^(t+1) = {N} exceeds the cap {materialize_cap}")
+    if N > MATERIALIZE_CAP:
+        raise ColumnCapExceeded(f"q^(t+1) = {N} exceeds the cap {MATERIALIZE_CAP}")
 
     # basis value table on evaluation points; basis[0] is the constant 1;
     # the disjointness check above guarantees no basis function is evaluated
@@ -395,9 +356,8 @@ def construction_a_simple_poles(field: FieldSpec, poles, eval_points,
                              meta)
 
 
-def construction_a_single_point(field: FieldSpec, t: int, eval_points,
-                                materialize_cap: int = MATERIALIZE_CAP
-                                ) -> MeasurementMatrix:
+def construction_a_single_point(field: FieldSpec, t: int,
+                                eval_points) -> MeasurementMatrix:
     """Order-<=t poles at infinity only: L(G) = polynomials of degree <= t.
 
     Entry -deg(f) in the (@, infinity) slot for nonconstant f; +1 at values.
@@ -414,8 +374,8 @@ def construction_a_single_point(field: FieldSpec, t: int, eval_points,
     if not evals:
         raise PreconditionError("need at least one evaluation point")
     N = q ** (t + 1)
-    if N > materialize_cap:
-        raise ColumnCapExceeded(f"q^(t+1) = {N} exceeds the cap {materialize_cap}")
+    if N > MATERIALIZE_CAP:
+        raise ColumnCapExceeded(f"q^(t+1) = {N} exceeds the cap {MATERIALIZE_CAP}")
     points = np.array(evals, dtype=np.int64)
     table = np.stack([field.np_pow(points, i) for i in range(t + 1)])
     meta = {"family": "consta-point",
@@ -777,15 +737,13 @@ def fermat_surface_points(field: FieldSpec):
     return [pts[i] for i in on]
 
 
-def fermat_hyperplane_matrix(field: FieldSpec,
-                             order_cap: int = FERMAT_ORDER_CAP
-                             ) -> MeasurementMatrix:
+def fermat_hyperplane_matrix(field: FieldSpec) -> MeasurementMatrix:
     """Incidence of Fermat-surface points with all hyperplanes of P^3."""
     if field.s % 2:
         raise PreconditionError("the Fermat surface needs a square field order")
-    if field.q > order_cap:
+    if field.q > FERMAT_ORDER_CAP:
         raise EnumerationCapExceeded(
-            f"field order {field.q} exceeds the Fermat cap {order_cap}")
+            f"field order {field.q} exceeds the Fermat cap {FERMAT_ORDER_CAP}")
     q = field.p ** (field.s // 2)
     surface = fermat_surface_points(field)
     hyperplanes = np.array(_p3_points(field), dtype=np.int64)
@@ -946,6 +904,8 @@ def build_design(family: str, field: FieldSpec, params: dict) -> EvaluationDesig
                             None if r is None else int(r))
     if family == "devore":
         r = int(params["r"])
+        if not (2 <= r <= field.q):
+            raise PreconditionError(f"need 2 <= r <= q, got r={r}, q={field.q}")
         design = projective_space_design(field, 1, r - 1)
         design.family, design.params = "devore", {"r": r}
         return design

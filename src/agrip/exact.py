@@ -11,16 +11,24 @@ nonzero difference is a nonzero algebraic number.
 
 Values that happen to be rational are returned as ``fractions.Fraction`` so
 callers can compare them bit-exactly against closed forms.
+
+Every mpmath evaluation runs in a private context of fixed precision, one
+per (context type, dps), created once and never changed, so worker threads
+may share them; the precision of the global ``mpmath.mp`` and ``mpmath.iv``
+is never set.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from fractions import Fraction
 
-import mpmath
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.ctx_mp import MPContext
 
 _SIGN_DPS_LADDER = (40, 80, 160, 320, 640)
+_DECIMAL_DIGITS = 12  # digits of a rendered decimal, computed at 10 more
+_LOG_BASES = {"natural": None, "base2": 2, "base10": 10}
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -52,14 +60,38 @@ def _as_terms(value):
     return {1: fr} if fr else {}
 
 
-def _interval_value(terms, ctx):
+def _evaluate(terms, ctx):
+    """sum(coeff * sqrt(rad)) in ctx: an mpf, or an interval enclosing it."""
     total = ctx.mpf(0)
     for rad, coeff in terms.items():
-        t = ctx.mpf(coeff.numerator) / ctx.mpf(coeff.denominator)
+        t = ctx.mpf(coeff.numerator) / coeff.denominator
         if rad != 1:
-            t *= ctx.sqrt(ctx.mpf(rad))
+            t *= ctx.sqrt(rad)
         total += t
     return total
+
+
+@functools.cache
+def _context(kind, dps: int):
+    """The private kind() context at dps digits; it is never changed."""
+    ctx = kind()
+    ctx.dps = dps
+    return ctx
+
+
+def _refined_sign(interval, what: str) -> int:
+    """Sign of the number that interval(ctx) encloses, refined up the ladder.
+
+    interval is evaluated in the private interval context of each rung until
+    its enclosure excludes 0; the number must be nonzero.
+    """
+    for dps in _SIGN_DPS_LADDER:
+        iv = interval(_context(MPIntervalContext, dps))
+        if iv.a > 0:
+            return 1
+        if iv.b < 0:
+            return -1
+    raise ArithmeticError(f"could not separate {what}")
 
 
 def _terms_sign(terms) -> int:
@@ -71,19 +103,8 @@ def _terms_sign(terms) -> int:
         return 1
     if signs == {False}:
         return -1
-    for dps in _SIGN_DPS_LADDER:
-        ctx = mpmath.iv
-        old = ctx.dps
-        try:
-            ctx.dps = dps
-            iv = _interval_value(terms, ctx)
-            if iv.a > 0:
-                return 1
-            if iv.b < 0:
-                return -1
-        finally:
-            ctx.dps = old
-    raise ArithmeticError(f"could not separate surd sum from zero: {terms}")
+    return _refined_sign(lambda ctx: _evaluate(terms, ctx),
+                         f"surd sum from zero: {terms}")
 
 
 class SurdSum:
@@ -228,24 +249,7 @@ class SurdSum:
     # -- rendering -----------------------------------------------------------
 
     def __float__(self):
-        with mpmath.workdps(40):
-            v = mpmath.mpf(0)
-            for rad, coeff in self._terms.items():
-                t = mpmath.mpf(coeff.numerator) / coeff.denominator
-                if rad != 1:
-                    t *= mpmath.sqrt(rad)
-                v += t
-            return float(v)
-
-    def decimal(self, digits: int = 12) -> str:
-        with mpmath.workdps(digits + 10):
-            v = mpmath.mpf(0)
-            for rad, coeff in self._terms.items():
-                t = mpmath.mpf(coeff.numerator) / coeff.denominator
-                if rad != 1:
-                    t *= mpmath.sqrt(rad)
-                v += t
-            return mpmath.nstr(v, digits)
+        return float(_evaluate(self._terms, _context(MPContext, 40)))
 
     def __repr__(self):
         if not self._terms:
@@ -273,12 +277,10 @@ def exact_float(value) -> float:
     return float(Fraction(value))
 
 
-def exact_decimal(value, digits: int = 12) -> str:
-    if isinstance(value, SurdSum):
-        return value.decimal(digits)
-    fr = Fraction(value)
-    with mpmath.workdps(digits + 10):
-        return mpmath.nstr(mpmath.mpf(fr.numerator) / fr.denominator, digits)
+def exact_decimal(value) -> str:
+    """value to _DECIMAL_DIGITS significant digits."""
+    ctx = _context(MPContext, _DECIMAL_DIGITS + 10)
+    return ctx.nstr(_evaluate(_as_terms(value), ctx), _DECIMAL_DIGITS)
 
 
 def floor_reciprocal(value) -> int:
@@ -302,40 +304,31 @@ def floor_reciprocal(value) -> int:
             k -= 1
 
 
-def leq_reciprocal_log(value, n: int, scale: int = 160,
-                       base: str = "natural") -> bool:
-    """Exact truth of value <= 1 / (scale * log_base(n)).
+def leq_reciprocal_log(value, n: int, base: str = "natural") -> bool:
+    """Exact truth of value <= 1 / (160 * log_base(n)).
 
-    The right side is transcendental for integer n > 1 while the left side is
-    algebraic, so the comparison is decidable by interval refinement.
+    The factor 160 is fixed: it is the constant of the strong-coherence
+    condition mu <= 1/(160 log N) and of the balanced certificate's
+    T <= |B|/(160 log q).  The right side is transcendental for integer n > 1 while
+    the left side is algebraic, so the comparison is decidable by interval
+    refinement.
     """
     if n <= 1:
         raise ValueError("n must be > 1")
+    if base not in _LOG_BASES:
+        raise ValueError(f"unknown log base {base!r}")
     terms = _as_terms(value)
     if not terms:
         return True
-    for dps in _SIGN_DPS_LADDER:
-        ctx = mpmath.iv
-        old = ctx.dps
-        try:
-            ctx.dps = dps
-            lhs = _interval_value(terms, ctx)
-            log_n = ctx.log(ctx.mpf(n))
-            if base == "base2":
-                log_n = log_n / ctx.log(ctx.mpf(2))
-            elif base == "base10":
-                log_n = log_n / ctx.log(ctx.mpf(10))
-            elif base != "natural":
-                raise ValueError(f"unknown log base {base!r}")
-            rhs = ctx.mpf(1) / (ctx.mpf(scale) * log_n)
-            diff = lhs - rhs
-            if diff.b < 0:
-                return True
-            if diff.a > 0:
-                return False
-        finally:
-            ctx.dps = old
-    raise ArithmeticError("could not separate value from 1/(scale*log n)")
+    divisor = _LOG_BASES[base]
+
+    def difference(ctx):
+        log_n = ctx.log(ctx.mpf(n))
+        if divisor is not None:
+            log_n = log_n / ctx.log(ctx.mpf(divisor))
+        return _evaluate(terms, ctx) - ctx.mpf(1) / (ctx.mpf(160) * log_n)
+
+    return _refined_sign(difference, "value from 1/(160*log n)") < 0
 
 
 def exact_leq(a, b) -> bool:

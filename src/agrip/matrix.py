@@ -101,7 +101,7 @@ class MeasurementMatrix:
     __slots__ = ("n", "N", "indptr", "indices", "data", "meta", "_csc",
                  "_sqnorms")
 
-    def __init__(self, n: int, N: int, columns, meta=None, validate: bool = True):
+    def __init__(self, n: int, N: int, columns, meta=None):
         cols = [(np.asarray(r, dtype=np.int64), np.asarray(v, dtype=np.int64))
                 for r, v in columns]
         if any(r.shape != v.shape or r.ndim != 1 for r, v in cols):
@@ -109,7 +109,8 @@ class MeasurementMatrix:
         none = [np.zeros(0, dtype=np.int64)]
         self._store(n, N, np.cumsum([0] + [r.size for r, _ in cols]),
                     np.concatenate([r for r, _ in cols] + none),
-                    np.concatenate([v for _, v in cols] + none), meta, validate)
+                    np.concatenate([v for _, v in cols] + none), meta,
+                    validate=True)
 
     @classmethod
     def from_csc(cls, n: int, N: int, indptr, indices, data, meta=None,
@@ -248,16 +249,15 @@ def _gram_tile(n: int) -> int:
     return min(_GRAM_TILE, max(1, _GRAM_BLOCK_ENTRIES // n))
 
 
-def _gram_scan(M: MeasurementMatrix, pair_cap: int,
-               block: int | None = None) -> _GramScan:
+def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
     """One exact pass over each column pair of G = A^T A, once.
 
-    A task takes a slab I of `block` norm-sorted columns (default: the tile
-    edge) and walks the tiles G_IJ, J >= I.  As the norm groups are
-    contiguous, an off-diagonal tile adds I's per-group sums along axis 1,
-    J's sums, grouped by I's norm groups, along axis 0, and its maxima to
-    pair_max, symmetrised at the end; the diagonal tile, its diagonal
-    zeroed, adds along axis 1 only.  Tiles are float64 GEMMs of dense slabs
+    A task takes a slab I of norm-sorted columns, one tile edge wide, and
+    walks the tiles G_IJ, J >= I.  As the norm groups are contiguous, an
+    off-diagonal tile adds I's per-group sums along axis 1, J's sums,
+    grouped by I's norm groups, along axis 0, and its maxima to pair_max,
+    symmetrised at the end; the diagonal tile, its diagonal zeroed, adds
+    along axis 1 only.  Tiles are float64 GEMMs of dense slabs
     when n N^2 < _DENSE_WORK_RATIO * sum_k r_k^2, the sparse product's work
     (r_k nonzeros in row k), else scipy int64 products.  By Cauchy-Schwarz
     every partial sum in a tile is an integer of size at most
@@ -305,7 +305,7 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int,
                        out=rows[2, :, groups])
         return rows, cols
 
-    slabs = [(i, min(i + (block or edge), N)) for i in range(0, N, block or edge)]
+    slabs = [(i, min(i + edge, N)) for i in range(0, N, edge)]
     sums = np.zeros((2, N, g), dtype=np.int64)
     pair_max = np.zeros((g, g), dtype=np.int64)
     with ThreadPoolExecutor(min(worker_count(), len(slabs))) as ex:
@@ -446,7 +446,7 @@ def _verdict(mu, omega, n: int, N: int, log_base: str,
              omega_mode: str) -> StrongCoherenceVerdict:
     """mu <= 1/(160 log N) and omega <= mu/sqrt(n), both exact."""
     rhs = (SurdSum() + mu).times_sqrt(n) / n  # mu / sqrt(n)
-    return StrongCoherenceVerdict(leq_reciprocal_log(mu, N, 160, log_base),
+    return StrongCoherenceVerdict(leq_reciprocal_log(mu, N, log_base),
                                   exact_leq(omega, rhs), log_base, omega_mode)
 
 

@@ -6,13 +6,15 @@ Three schemes:
 * random_pm1(seed): every 1 flipped to -1 independently with probability 1/2,
   drawn from a per-column substream keyed by (seed, column index) so that the
   result does not depend on construction order.
-* balanced: the derandomized scheme.  Points are colored red/blue (first
-  floor(|B|/2) points red in enumeration order), and the entry of column
-  (a_1 ... a_T) at point b is (-1)^(lambda(b) + parity) where lambda is 1 on
-  red points and 0 on blue points, and parity is the parity of the integer
-  Tr(a_1 + ... + a_T) in {0, ..., p-1} for odd p.  For p = 2 the parity is
-  the Hamming-weight parity of (Tr(a_i)) over all i except a per-point pivot
-  index, the first basis function not vanishing at b.
+* balanced: the derandomized scheme, balanced_matrix(design).  The first
+  floor(|B|/2) points, in enumeration order, are red and the rest blue, and
+  the entry of column (a_1 ... a_T) at point b is (-1)^(lambda(b) + parity)
+  where lambda is 1 on red points and 0 on blue points, and parity is the
+  parity of the integer Tr(a_1 + ... + a_T) in {0, ..., p-1} for odd p.  For
+  p = 2 the parity is the Hamming-weight parity of (Tr(a_i)) over all i
+  except a per-point pivot index, the first basis function not vanishing at
+  b.  The signs depend only on the coefficient digits and the pivots, never
+  on the values, so they are laid over the arrays of evaluation_matrix.
 
 For odd p the parity is constant along each column, so G_fg =
 +-#zeros(f - g) and the coherence equals the unsigned agreement maximum.  For
@@ -36,7 +38,11 @@ from .errors import (
     PreconditionError,
 )
 from .exact import leq_reciprocal_log
-from .constructions import EvaluationDesign, evaluation_blocks
+from .constructions import (
+    EvaluationDesign,
+    coefficient_digits,
+    evaluation_matrix,
+)
 from .matrix import (
     CoherenceReport,
     MeasurementMatrix,
@@ -47,24 +53,6 @@ from .matrix import (
 # Re-exported, not called here: the perfbench tracer patches these aliases,
 # and perfbench/tests/test_harness.py checks that it does.
 from .matrix import average_coherence, coherence  # noqa: F401
-
-
-@dataclass
-class SignScheme:
-    """Entry-sign specification: all_ones, seeded random, or balanced."""
-
-    kind: str
-    seed: int | None = None
-    red: np.ndarray | None = None          # balanced: True where the point is red
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.red is not None:
-            out["red_count"] = int(self.red.sum())
-            out["point_count"] = int(self.red.size)
-        return out
 
 
 def randomize_signs(M: MeasurementMatrix, seed: int) -> MeasurementMatrix:
@@ -93,78 +81,43 @@ def expected_abs_inner_product(L: int) -> Fraction:
     return Fraction(total, 2 ** L)
 
 
-def balanced_coloring(points) -> SignScheme:
-    """First floor(|B|/2) points red, the rest blue, in enumeration order."""
-    count = len(points)
-    if count < 1:
-        raise PreconditionError("need at least one point")
-    red = np.zeros(count, dtype=bool)
-    red[: count // 2] = True
-    return SignScheme(kind="balanced", red=red)
-
-
-def _column_parities(design: EvaluationDesign, digits: np.ndarray,
-                     pivot: np.ndarray | None) -> np.ndarray:
-    """Parity term per (column, point): (k, |B|) array of 0/1.
+def _column_parities(design: EvaluationDesign,
+                     digits: np.ndarray) -> np.ndarray:
+    """Parity term per (column, point): (N, |B|) array of 0/1.
 
     Odd p: parity of Tr(sum of coefficients), constant along each row.
     p = 2: Hamming-weight parity of the traces excluding the pivot coordinate.
     """
     field = design.field
-    k = digits.shape[0]
-    B = design.size
     if field.p != 2:
-        coeff_sum = np.zeros(k, dtype=np.int64)
+        coeff_sum = np.zeros(digits.shape[0], dtype=np.int64)
         for t in range(design.T):
             coeff_sum = field.np_add(coeff_sum, digits[:, t])
         tr = field.np_trace(coeff_sum)
-        return np.broadcast_to(((tr % 2))[:, None], (k, B)).copy()
+        return np.broadcast_to((tr % 2)[:, None], (digits.shape[0], design.size))
+    nonzero = design.table != 0
+    vanishing = np.flatnonzero(~nonzero.any(axis=0))
+    if vanishing.size:
+        raise NoNonvanishingBasisFunction(
+            f"every basis function vanishes at point index {vanishing[0]}")
     # p = 2: trace bits of every coefficient, pivot coordinate excluded
     tr_bits = field.np_trace(digits)
     total = tr_bits.sum(axis=1) % 2
-    return (total[:, None] ^ tr_bits[:, pivot]) % 2
+    return total[:, None] ^ tr_bits[:, np.argmax(nonzero, axis=0)]
 
 
-def _basis_pivots(design: EvaluationDesign) -> np.ndarray:
-    pivots = np.empty(design.size, dtype=np.int64)
-    for b in range(design.size):
-        nz = np.nonzero(design.table[:, b])[0]
-        if nz.size == 0:
-            raise NoNonvanishingBasisFunction(
-                f"every basis function vanishes at point index {b}")
-        pivots[b] = nz[0]
-    return pivots
-
-
-def balanced_matrix(design: EvaluationDesign,
-                    scheme: SignScheme | None = None) -> MeasurementMatrix:
-    """The balanced-sign version of evaluation_matrix(design)."""
-    field = design.field
-    q = field.q
-    if scheme is None:
-        scheme = balanced_coloring(design.points)
-    if scheme.kind != "balanced" or scheme.red is None:
-        raise PreconditionError("balanced_matrix needs a balanced SignScheme")
-    red = np.asarray(scheme.red, dtype=bool)
-    if red.size != design.size:
-        raise PreconditionError("coloring size disagrees with the point count")
-    N = design.num_columns
+def balanced_matrix(design: EvaluationDesign) -> MeasurementMatrix:
+    """The balanced-sign version of evaluation_matrix(design): its arrays,
+    with the signs of the module docstring."""
+    M = evaluation_matrix(design)
     B = design.size
-    pivot = _basis_pivots(design) if field.p == 2 else None
-    lam = red.astype(np.int64)  # 1 on red, 0 on blue
-    point_base = np.arange(B, dtype=np.int64) * q
-    rows, signs = [], []
-    for digits, vals in evaluation_blocks(field, design.table, range(N)):
-        parities = _column_parities(design, digits, pivot)
-        rows.append((point_base + vals).ravel())
-        signs.append((1 - 2 * ((lam[None, :] + parities) % 2)).ravel())
-    meta = {"family": design.family, "params": design.params,
-            "field": field.descriptor,
-            "sign_scheme": scheme.describe(),
-            "column_support": B, "bound_on_zeros": design.bound_on_zeros}
-    return MeasurementMatrix.from_csc(q * B, N, np.arange(N + 1) * B,
-                                      np.concatenate(rows), np.concatenate(signs),
-                                      meta=meta, validate=False)
+    red = np.arange(B) < B // 2  # lambda: 1 on red
+    digits = coefficient_digits(design.field.q, np.arange(M.N), design.T)
+    signs = 1 - 2 * (red ^ _column_parities(design, digits))
+    meta = {**M.meta, "sign_scheme": {"kind": "balanced", "red_count": B // 2,
+                                      "point_count": B}}
+    return MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices,
+                                      signs.ravel(), meta=meta, validate=False)
 
 
 @dataclass
@@ -210,7 +163,7 @@ def certify_strong_coherence(design: EvaluationDesign,
     # a) N(D) > sqrt(|B|)/(p sqrt(q)), exactly: N(D)^2 p^2 q > |B|
     cond_a = design.bound_on_zeros ** 2 * field.p ** 2 * field.q > B
     # b) T <= |B| / (160 log q)
-    cond_b = leq_reciprocal_log(Fraction(design.T, B), field.q, 160, log_base)
+    cond_b = leq_reciprocal_log(Fraction(design.T, B), field.q, log_base)
     verdict = _verdict(report.mu, report.omega_signed, report.n, report.N,
                        log_base, "signed")
     return BalancedCertificate(condition_a=bool(cond_a), condition_b=bool(cond_b),

@@ -42,6 +42,9 @@ from .matrix import MeasurementMatrix
 BRUTE_FORCE_COLUMN_CAP = 5000
 DIFFERENCE_CLASS_CAP = 10 ** 7
 RIP_SUBSET_CAP = 200_000
+SECTION_CAP = 20_000  # scalar classes of sections scanned exhaustively
+SECTION_SAMPLES = 2000  # sections drawn, from seed 0, above SECTION_CAP
+_CHUNK = 65536  # scalar classes per difference-trick block
 
 
 @dataclass
@@ -74,14 +77,13 @@ class OracleResult:
                 "agree": self.agree}
 
 
-def brute_force_coherence(M: MeasurementMatrix,
-                          column_cap: int = BRUTE_FORCE_COLUMN_CAP):
+def brute_force_coherence(M: MeasurementMatrix):
     """Exact pairwise maximum by explicit sparse merges (no Gram matrices)."""
     if M.N < 2:
         raise SingleColumn("coherence needs at least two columns")
-    if M.N > column_cap:
+    if M.N > BRUTE_FORCE_COLUMN_CAP:
         raise OracleCapExceeded(
-            f"{M.N} columns exceed the oracle cap {column_cap}")
+            f"{M.N} columns exceed the oracle cap {BRUTE_FORCE_COLUMN_CAP}")
     bounds, rows, vals = M.indptr.tolist(), M.indices.tolist(), M.data.tolist()
     cols = [dict(zip(rows[lo:hi], vals[lo:hi]))
             for lo, hi in zip(bounds, bounds[1:])]
@@ -106,9 +108,7 @@ def brute_force_coherence(M: MeasurementMatrix,
     return exact_ratio_sqrt(best[0], best[1])
 
 
-def coherence_via_differences(design: EvaluationDesign,
-                              class_cap: int = DIFFERENCE_CLASS_CAP,
-                              chunk: int = 65536):
+def coherence_via_differences(design: EvaluationDesign):
     """Exact coherence of evaluation_matrix(design) via the difference trick.
 
     Inner products of two graph-indicator columns count the points where the
@@ -120,9 +120,9 @@ def coherence_via_differences(design: EvaluationDesign,
     q = design.field.q
     T = design.T
     classes = (q ** T - 1) // (q - 1)
-    if classes > class_cap:
+    if classes > DIFFERENCE_CLASS_CAP:
         raise OracleCapExceeded(
-            f"{classes} scalar classes exceed the cap {class_cap}")
+            f"{classes} scalar classes exceed the cap {DIFFERENCE_CLASS_CAP}")
     B = design.size
     best = 0
     # representatives: first nonzero coefficient equal to 1, enumerated by
@@ -130,8 +130,8 @@ def coherence_via_differences(design: EvaluationDesign,
     for lead in range(T):
         free = T - 1 - lead
         total = q ** free
-        for f0 in range(0, total, chunk):
-            count = min(chunk, total - f0)
+        for f0 in range(0, total, _CHUNK):
+            count = min(_CHUNK, total - f0)
             coeffs = np.zeros((count, T), dtype=np.int64)
             coeffs[:, lead] = 1
             if free:
@@ -149,17 +149,16 @@ def coherence_via_differences(design: EvaluationDesign,
     return Fraction(best, B)
 
 
-def brute_force_rip_delta(M: MeasurementMatrix, k: int,
-                          subset_cap: int = RIP_SUBSET_CAP) -> float:
+def brute_force_rip_delta(M: MeasurementMatrix, k: int) -> float:
     """delta_k over all k-column submatrices of the unit-normalized matrix."""
     if not (1 <= k <= 4):
         raise PreconditionError("the RIP oracle supports k <= 4")
     if k > M.N:
         raise PreconditionError("k exceeds the column count")
     n_subsets = math.comb(M.N, k)
-    if n_subsets > subset_cap:
+    if n_subsets > RIP_SUBSET_CAP:
         raise OracleCapExceeded(
-            f"C({M.N},{k}) = {n_subsets} subsets exceed the cap {subset_cap}")
+            f"C({M.N},{k}) = {n_subsets} subsets exceed the cap {RIP_SUBSET_CAP}")
     A = M.to_dense().astype(np.float64)
     A /= np.sqrt((A * A).sum(axis=0))[None, :]
     subsets = np.array(list(itertools.combinations(range(M.N), k)),
@@ -195,14 +194,12 @@ class FermatSectionReport:
         return self.min_count >= self.lower_bound
 
 
-def fermat_section_counts(field: FieldSpec, t: int = 1,
-                          section_cap: int = 20000, samples: int = 2000,
-                          seed: int = 0) -> FermatSectionReport:
+def fermat_section_counts(field: FieldSpec, t: int = 1) -> FermatSectionReport:
     """Scan degree-t hypersurface sections of the Fermat surface.
 
-    Exhaustive over scalar classes when they fit under the cap; otherwise a
-    seeded sample, reported as such (a sampled minimum is only a witness
-    bound, never claimed exhaustive).
+    Exhaustive over scalar classes when at most SECTION_CAP of them;
+    otherwise SECTION_SAMPLES sections drawn from seed 0, reported as such
+    (a sampled minimum is only a witness bound, never claimed exhaustive).
     """
     if field.s % 2:
         raise PreconditionError("the Fermat surface needs a square field order")
@@ -226,7 +223,7 @@ def fermat_section_counts(field: FieldSpec, t: int = 1,
         V[:, idx] = acc
     m = len(monos)
     classes = (Q ** m - 1) // (Q - 1)
-    exhaustive = classes <= section_cap
+    exhaustive = classes <= SECTION_CAP
     if exhaustive:
         if t == 1:
             coeff_sets = [np.array(h, dtype=np.int64) for h in _p3_points(field)]
@@ -237,9 +234,9 @@ def fermat_section_counts(field: FieldSpec, t: int = 1,
                     coeff_sets.append(np.array(
                         (0,) * lead + (1,) + rest, dtype=np.int64))
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         coeff_sets = []
-        while len(coeff_sets) < samples:
+        while len(coeff_sets) < SECTION_SAMPLES:
             c = rng.integers(0, Q, size=m)
             if c.any():
                 coeff_sets.append(c.astype(np.int64))

@@ -12,10 +12,12 @@ from agrip.errors import (
     PreconditionError,
     RankDeficient,
 )
+import agrip.constructions
 from agrip.fields import extension_with_embedding, make_field
 from agrip.constructions import (
     INFINITY,
     EvaluationDesign,
+    build_design,
     conic_symmetric_singular_mask,
     construction_a_simple_poles,
     construction_a_single_point,
@@ -23,7 +25,6 @@ from agrip.constructions import (
     evaluation_matrix,
     fermat_hyperplane_matrix,
     fermat_surface_points,
-    iter_evaluation_columns,
     plane_curve_census,
     plane_curve_matrix,
     plane_singular_mask,
@@ -535,18 +536,17 @@ def test_evaluation_matrix_zero_column():
     assert np.all(vals == 1)
 
 
-def test_evaluation_matrix_caps():
+def test_evaluation_matrix_caps(monkeypatch):
     d = projective_space_design(make_field(5), 2, 2)  # N = 5^6 = 15625
+    monkeypatch.setattr(agrip.constructions, "MATERIALIZE_CAP", 1000)
     with pytest.raises(ColumnCapExceeded):
-        evaluation_matrix(d, materialize_cap=1000)
+        evaluation_matrix(d)
 
 
-def test_iter_columns_matches_materialized():
-    d = projective_space_design(make_field(3), 2, 1)
-    M = evaluation_matrix(d)
-    for j, (rows, vals) in enumerate(iter_evaluation_columns(d)):
-        r2, v2 = M.column(j)
-        assert np.array_equal(rows, r2) and np.array_equal(vals, v2)
+@pytest.mark.parametrize("r", [1, 6])
+def test_devore_design_needs_r_between_2_and_q(r):
+    with pytest.raises(PreconditionError, match="need 2 <= r <= q"):
+        build_design("devore", make_field(5), {"r": r})
 
 
 def test_evaluation_rows_one_nonzero_per_point_block():

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from agrip.constructions import construction_a_simple_poles
 from agrip.exact import (
     SurdSum,
     exact_leq,
@@ -11,6 +13,8 @@ from agrip.exact import (
     leq_reciprocal_log,
     squarefree_decompose,
 )
+from agrip.fields import make_field
+from agrip.matrix import coherence_report
 
 
 def test_squarefree_decompose():
@@ -91,6 +95,8 @@ def test_leq_reciprocal_log():
     # base sensitivity: 1/(160 log10 125) = 0.00298, 1/(160 log2 125) = 0.000898
     assert leq_reciprocal_log(Fraction(2, 1000), 125, base="base10")
     assert not leq_reciprocal_log(Fraction(2, 1000), 125, base="base2")
+    with pytest.raises(ValueError, match="unknown log base"):
+        leq_reciprocal_log(Fraction(0), 125, base="base3")
 
 
 def test_exact_leq_mixed():
@@ -103,3 +109,26 @@ def test_abs_and_neg():
     assert abs(v) == SurdSum({2: 1})
     assert -v == abs(v)
     assert abs(SurdSum.from_fraction(-3)) == Fraction(3)
+
+
+def test_reports_never_set_the_global_mpmath_precision(monkeypatch):
+    """Exact comparisons, thresholds and decimals run in private contexts of
+    fixed precision, so a report writes no precision of mpmath.mp or
+    mpmath.iv, which worker threads would share."""
+    writes = []
+    for cls in (type(mpmath.mp), type(mpmath.iv)):
+        for name in ("prec", "dps"):
+            prop = getattr(cls, name)
+
+            def recording(ctx, value, prop=prop, name=name):
+                if ctx is mpmath.mp or ctx is mpmath.iv:
+                    writes.append((type(ctx).__name__, name, value))
+                prop.fset(ctx, value)
+
+            monkeypatch.setattr(cls, name, property(prop.fget, recording))
+    # mixed squared norms: the omegas are surd sums compared by intervals
+    M = construction_a_simple_poles(make_field(5), [0, 1], [2, 3, 4])
+    report = coherence_report(M)
+    assert isinstance(report.omega_signed, SurdSum)
+    assert report.to_dict()["omega_signed"]["decimal"]
+    assert writes == []

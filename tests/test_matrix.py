@@ -475,12 +475,13 @@ def test_column_list_and_arrays_give_one_matrix():
 
 def test_thread_count_does_not_change_results(monkeypatch):
     M = fermat_hyperplane_matrix(make_field(2, 2))
+    monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", 16)
     monkeypatch.setenv("AGRIP_THREADS", "1")
-    scan1 = _gram_scan(M, DEFAULT_PAIR_CAP, 16)
+    scan1 = _gram_scan(M, DEFAULT_PAIR_CAP)
     mu1 = _coherence_from(scan1)
     om1 = _average_coherence_from(scan1, "signed")
     monkeypatch.setenv("AGRIP_THREADS", "4")
-    scan4 = _gram_scan(M, DEFAULT_PAIR_CAP, 16)
+    scan4 = _gram_scan(M, DEFAULT_PAIR_CAP)
     mu4 = _coherence_from(scan4)
     om4 = _average_coherence_from(scan4, "signed")
     assert mu1 == mu4
@@ -557,22 +558,20 @@ def test_gram_scan_does_not_depend_on_the_block_size(M, dense, monkeypatch):
     real = agrip.matrix._densify
     monkeypatch.setattr(agrip.matrix, "_densify",
                         lambda *args: densified.append(1) or real(*args))
-    ref = _gram_scan(M, DEFAULT_PAIR_CAP, 1024)
+    ref = _gram_scan(M, DEFAULT_PAIR_CAP)  # N <= 125: one 512-column slab
     assert bool(densified) == dense
-    for block in (1, 7):
-        scan = _gram_scan(M, DEFAULT_PAIR_CAP, block)
+    mu = coherence(M)
+    omega = {mode: average_coherence(M, mode) for mode in ("signed", "absolute")}
+    # slabs of 1, 7 and 16 columns: each slab walks several tiles, and the
+    # norm groups straddle their edges
+    for tile in (1, 7, 16):
+        monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", tile)
+        scan = _gram_scan(M, DEFAULT_PAIR_CAP)
         for got, want in zip(scan, ref):
             assert np.array_equal(got, want)
-        assert _coherence_from(scan) == coherence(M)
-        for mode in ("signed", "absolute"):
-            assert (_average_coherence_from(scan, mode)
-                    == average_coherence(M, mode))
-    # 16-column tiles: each slab walks several tiles, and the norm groups
-    # straddle their edges
-    monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", 16)
-    for block in (1, 7, None):
-        for got, want in zip(_gram_scan(M, DEFAULT_PAIR_CAP, block), ref):
-            assert np.array_equal(got, want)
+        assert _coherence_from(scan) == mu
+        for mode, value in omega.items():
+            assert _average_coherence_from(scan, mode) == value
 
 
 def _gram_scan_by_definition(arr):
@@ -593,15 +592,15 @@ def _gram_scan_by_definition(arr):
 @given(arr=st.tuples(st.integers(1, 10), st.integers(2, 40)).flatmap(
            lambda shape: arrays(np.int64, shape, elements=st.sampled_from(
                [0, 0, 0, 1, -1, 2, -3]))),
-       tile=st.integers(2, 9), block=st.sampled_from([None, 1, 3]))
+       tile=st.integers(1, 9))
 @pytest.mark.parametrize("ratio", [0, 10 ** 30],
                          ids=["sparse-tiles", "dense-tiles"])
-def test_gram_scan_matches_the_dense_gram_matrix(ratio, arr, tile, block,
+def test_gram_scan_matches_the_dense_gram_matrix(ratio, arr, tile,
                                                  monkeypatch):
     arr[0, ~arr.any(axis=0)] = 1  # no zero column
     monkeypatch.setattr(agrip.matrix, "_DENSE_WORK_RATIO", ratio)
     monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", tile)
-    scan = _gram_scan(dense_to_matrix(arr), DEFAULT_PAIR_CAP, block)
+    scan = _gram_scan(dense_to_matrix(arr), DEFAULT_PAIR_CAP)
     for got, want in zip(scan, _gram_scan_by_definition(arr)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 

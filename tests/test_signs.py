@@ -3,9 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from agrip.errors import NonBinaryInput
+import agrip.constructions
+from agrip.errors import ColumnCapExceeded, NonBinaryInput
 from agrip.fields import make_field
 from agrip.constructions import (
+    EvaluationDesign,
+    build_design,
     devore,
     evaluation_matrix,
     projective_space_design,
@@ -13,7 +16,6 @@ from agrip.constructions import (
 )
 from agrip.matrix import average_coherence, coherence, coherence_report
 from agrip.signs import (
-    balanced_coloring,
     balanced_matrix,
     certify_strong_coherence,
     expected_abs_inner_product,
@@ -90,10 +92,24 @@ def test_expected_abs_matches_exhaustive_enumeration():
 
 
 def test_balanced_coloring_floor_rule():
-    for count, reds in [(9, 4), (2, 1), (1, 0), (16, 8)]:
-        scheme = balanced_coloring(list(range(count)))
-        assert int(scheme.red.sum()) == reds
-        assert scheme.red[:reds].all()
+    # the zero function (column 0) has parity 0 everywhere, so its signs are
+    # -1 exactly on the red points, the first floor(|B|/2) of them
+    f2 = make_field(2)
+    for design, reds in [
+            (projective_space_design(make_field(3, 2), 1, 1), 4),   # |B| = 9
+            (EvaluationDesign(f2, [(0,), (1,)], ["1"], [[1, 1]], 0), 1),
+            (ruled_surface_design(make_field(2, 2), 1, 1), 8)]:     # |B| = 16
+        Mb = balanced_matrix(design)
+        assert Mb.meta["sign_scheme"] == {
+            "kind": "balanced", "red_count": reds, "point_count": design.size}
+        assert np.array_equal(Mb.column(0)[1] < 0, np.arange(design.size) < reds)
+
+
+def test_balanced_matrix_has_the_materialization_cap(monkeypatch):
+    design = build_design("devore", make_field(5), {"r": 3})  # N = 125
+    monkeypatch.setattr(agrip.constructions, "MATERIALIZE_CAP", 100)
+    with pytest.raises(ColumnCapExceeded):
+        balanced_matrix(design)
 
 
 # -- balanced matrices ---------------------------------------------------------------
@@ -159,24 +175,6 @@ def test_balanced_p2_pivot_rule():
     # coherence cannot exceed the unsigned agreement maximum
     mu_unsigned = coherence_via_differences(design)
     assert coherence(Mb) <= mu_unsigned
-
-
-def test_balanced_matrix_leaves_the_scheme_unchanged():
-    # p = 2 derives per-point pivots; they must not be written into the
-    # caller's scheme
-    design = ruled_surface_design(make_field(2, 2), 1, 1)
-    scheme = balanced_coloring(design.points)
-    before = {k: (v.copy() if isinstance(v, np.ndarray) else v)
-              for k, v in vars(scheme).items()}
-    Mb = balanced_matrix(design, scheme)
-    assert Mb == balanced_matrix(design)
-    after = vars(scheme)
-    assert after.keys() == before.keys()
-    for key, value in before.items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(after[key], value)
-        else:
-            assert after[key] is value
 
 
 def test_parity_pairing_flips_parity_for_odd_p():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import agrip.verification
 from agrip.errors import (
     DuplicateColumns,
     GcdConditionViolated,
@@ -43,10 +44,11 @@ def test_brute_force_devore():
     assert brute_force_coherence(M) == coherence(M)
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
     M = devore(make_field(3), 2)
+    monkeypatch.setattr(agrip.verification, "BRUTE_FORCE_COLUMN_CAP", 4)
     with pytest.raises(OracleCapExceeded):
-        brute_force_coherence(M, column_cap=4)
+        brute_force_coherence(M)
 
 
 DESIGN_BUILDERS = [
@@ -113,10 +115,11 @@ def test_delta_k_monotone_and_gershgorin():
     assert d3 <= 2 * float(coherence(M)) + 1e-12  # (k-1) mu
 
 
-def test_rip_caps():
+def test_rip_caps(monkeypatch):
     M = devore(make_field(5), 3)
+    monkeypatch.setattr(agrip.verification, "RIP_SUBSET_CAP", 100)
     with pytest.raises(OracleCapExceeded):
-        brute_force_rip_delta(M, 3, subset_cap=100)
+        brute_force_rip_delta(M, 3)
     with pytest.raises(PreconditionError):
         brute_force_rip_delta(M, 5)
 
@@ -140,9 +143,10 @@ def test_fermat_sections_gcd_violation():
         fermat_section_counts(make_field(3, 2), 2)  # gcd(8, 2) = 2
 
 
-def test_fermat_sections_sampled_beyond_cap():
-    report = fermat_section_counts(make_field(3, 2), 3, section_cap=10,
-                                   samples=50, seed=1)
+def test_fermat_sections_sampled_beyond_cap(monkeypatch):
+    monkeypatch.setattr(agrip.verification, "SECTION_CAP", 10)
+    monkeypatch.setattr(agrip.verification, "SECTION_SAMPLES", 50)
+    report = fermat_section_counts(make_field(3, 2), 3)
     assert not report.exhaustive
     assert report.sections_checked == 50
     assert report.min_count >= report.lower_bound

@@ -300,8 +300,9 @@ def cmd_verify(args) -> int:
         design = _sidecar_design(_load_sidecar(args.design))
         oracle = ver.coherence_via_differences(design)
         fast = None
-        if design.num_columns <= mx.DEFAULT_PAIR_CAP:
-            fast = mx.coherence(cons.evaluation_matrix(design))
+        if design.num_columns <= cons.MATERIALIZE_CAP:
+            fast = mx.coherence_report(cons.evaluation_matrix(design),
+                                       function_space=True).mu
         results.append(ver.OracleResult("coherence_via_differences",
                                         args.design, oracle, fast))
     elif args.check == "rip":
@@ -325,7 +326,7 @@ def cmd_verify(args) -> int:
         if not args.field:
             raise SystemExit(_usage_error("--check fermat needs --field"))
         report = ver.fermat_section_counts(parse_descriptor(args.field),
-                                           t=args.t if args.t else 1)
+                                           t=1 if args.t is None else args.t)
         results.append(ver.OracleResult(
             "fermat_min_section", f"q={report.q},t={report.t}",
             report.min_count, report.lower_bound))

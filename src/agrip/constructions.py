@@ -3,7 +3,8 @@
 Every family is a space of functions evaluated at rational points: a basis
 table (table[t][b] = code of basis function t at point b) and one column per
 coefficient vector.  All of them compute their values through one engine,
-evaluate_coefficient_block, driven block by block by evaluation_blocks; all
+evaluate_coefficient_block, driven block by block by evaluation_blocks (as
+do the difference-trick and Fermat-section oracles of verification); all
 linear algebra over F_q (design ranks, nullspaces, the subfield inverse) goes
 through one batched RREF kernel, _rref.
 
@@ -39,8 +40,13 @@ Index conventions (fixed for reproducibility, used by every family):
 * column j encodes the coefficient vector by base-q digits of j, digit t
   being the coefficient of basis function t (the first basis function varies
   fastest);
-* P^2 / P^3 points are the canonical first-nonzero-coordinate-1
-  representatives, enumerated by level and then lexicographically.
+* projective points (_projective_points) are the canonical
+  first-nonzero-coordinate-1 representatives, ordered by the position of
+  that 1 and then lexicographically;
+* monomials(n, d) lists the degree-d exponent tuples in descending order;
+  monomial_table evaluates a list of them at points;
+* scalar_class_codes(q, T) holds one column code per scalar class: the codes
+  whose lowest nonzero digit is 1, i.e. first nonzero coefficient 1.
 """
 
 from __future__ import annotations
@@ -100,6 +106,47 @@ def coefficient_digits(q: int, codes, T: int) -> np.ndarray:
         out[:, t] = rem % q
         rem //= q
     return out
+
+
+def scalar_class_codes(q: int, T: int):
+    """One code per scalar class of nonzero vectors in F_q^T, in T ranges.
+
+    Range t holds the codes whose lowest nonzero digit is digit t and equals
+    1: the vectors whose first nonzero coefficient is coefficient t, scaled
+    to 1.  The ranges are never materialised.
+    """
+    return [range(q ** t, q ** T, q ** (t + 1)) for t in range(T)]
+
+
+def monomials(n: int, d: int):
+    """Exponent tuples of the degree-d monomials in n variables, descending."""
+    if n == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d, -1, -1)
+            for rest in monomials(n - 1, d - e)]
+
+
+def monomial_table(field: FieldSpec, X: np.ndarray, exps) -> np.ndarray:
+    """(len(exps), len(X)) codes of each monomial x^e at the points X."""
+    table = np.ones((len(exps), X.shape[0]), dtype=np.int64)
+    for t, e in enumerate(exps):
+        for i, ei in enumerate(e):
+            if ei:
+                table[t] = field.np_mul(table[t], field.np_pow(X[:, i], ei))
+    return table
+
+
+def _projective_points(q: int, dim: int) -> np.ndarray:
+    """(count, dim + 1) codes of the canonical points of P^dim(F_q): first
+    nonzero coordinate 1, ordered by its position, then lexicographically."""
+    blocks = []
+    for i in range(dim + 1):
+        free = dim - i
+        block = np.zeros((q ** free, dim + 1), dtype=np.int64)
+        block[:, i] = 1
+        block[:, i + 1:] = coefficient_digits(q, np.arange(q ** free), free)[:, ::-1]
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -396,30 +443,11 @@ def construction_a_single_point(field: FieldSpec, t: int,
 # ---------------------------------------------------------------------------
 
 
-def _p2_point_array(field: FieldSpec) -> np.ndarray:
-    """(q^2 + q + 1, 3) codes of the canonical P^2 points, in index order."""
-    q = field.q
-    a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
-    line = np.arange(q, dtype=np.int64)
-    return np.concatenate([
-        np.stack([np.ones_like(a), a, b], axis=1),
-        np.stack([np.zeros_like(line), np.ones_like(line), line], axis=1),
-        np.array([[0, 0, 1]], dtype=np.int64)])
-
-
-def _p2_points(field: FieldSpec):
-    return [tuple(pt) for pt in _p2_point_array(field).tolist()]
-
-
 def _p2_index(points: np.ndarray, q: int) -> np.ndarray:
-    """Index of canonical P^2(F_q) points (rows of codes) in _p2_point_array."""
+    """Index of canonical P^2(F_q) points (rows of codes) in
+    _projective_points(q, 2)."""
     x, y, z = points.T
     return np.where(x == 1, y * q + z, np.where(y == 1, q * q + z, q * q + q))
-
-
-def _plane_monomials(r: int):
-    return [(i, j, r - i - j)
-            for i in range(r, -1, -1) for j in range(r - i, -1, -1)]
 
 
 def _monomial_name(exps, names=("x", "y", "z")):
@@ -506,7 +534,7 @@ def _frobenius_representatives(field, ext, k):
     kept iff its index is below those of its k - 1 conjugates: P^2(F_q) is
     dropped and the first point of each orbit is kept, in index order.
     """
-    points = _p2_point_array(ext)
+    points = _projective_points(ext.q, 2)
     if k == 1:
         return points
     frob = ext.np_pow(np.arange(ext.q, dtype=np.int64), field.q)
@@ -560,7 +588,7 @@ def _mark_singular(field, r, k, mask):
     """
     E, emb = extension_with_embedding(field, k)
     coordinates = _subfield_coordinate_map(field, E, emb, k)
-    monos = _plane_monomials(r)
+    monos = monomials(3, r)
     m = len(monos)
     points = _frobenius_representatives(field, E, k)
     step = max(1, BLOCK_ENTRIES // (4 * k * m))
@@ -584,7 +612,7 @@ def plane_singular_mask(field: FieldSpec, r: int) -> np.ndarray:
     """
     if r not in (2, 3):
         raise PreconditionError(f"degree r must be 2 or 3, got {r}")
-    m = len(_plane_monomials(r))
+    m = len(monomials(3, r))
     total = field.q ** m
     if total > PLANE_ENUM_CAP:
         raise EnumerationCapExceeded(
@@ -597,18 +625,11 @@ def plane_singular_mask(field: FieldSpec, r: int) -> np.ndarray:
 
 
 def _scalar_class_rep_mask(q: int, m: int) -> np.ndarray:
-    """True where the first nonzero base-q digit equals 1."""
-    total = q ** m
-    rem = np.arange(total, dtype=np.int64)
-    first = np.zeros(total, dtype=np.int64)
-    found = np.zeros(total, dtype=bool)
-    for _ in range(m):
-        digit = rem % q
-        rem //= q
-        newly = (~found) & (digit != 0)
-        first[newly] = digit[newly]
-        found |= newly
-    return found & (first == 1)
+    """True at the scalar_class_codes: the lowest nonzero base-q digit is 1."""
+    mask = np.zeros(q ** m, dtype=bool)
+    for codes in scalar_class_codes(q, m):
+        mask[codes.start::codes.step] = True
+    return mask
 
 
 def conic_symmetric_singular_mask(field: FieldSpec) -> np.ndarray:
@@ -652,7 +673,7 @@ def plane_curve_census(field: FieldSpec, r: int) -> PlaneCurveCensus:
     q = field.q
     mask = plane_singular_mask(field, r)
     tuple_count = int((~mask).sum())
-    reps = _scalar_class_rep_mask(q, len(_plane_monomials(r))) & ~mask
+    reps = _scalar_class_rep_mask(q, len(monomials(3, r))) & ~mask
     class_count = int(reps.sum())
     if tuple_count != class_count * (q - 1):
         raise AssertionError("scalar classes do not partition smooth tuples")
@@ -687,16 +708,10 @@ def plane_curve_matrix(field: FieldSpec, r: int) -> MeasurementMatrix:
     point lies on the curve.
     """
     q = field.q
-    monos = _plane_monomials(r)
-    m = len(monos)
+    monos = monomials(3, r)
     mask = plane_singular_mask(field, r)
-    reps = np.nonzero(_scalar_class_rep_mask(q, m) & ~mask)[0]
-    X = _p2_point_array(field)
-    table = np.stack([
-        field.np_mul(field.np_mul(field.np_pow(X[:, 0], i),
-                                  field.np_pow(X[:, 1], j)),
-                     field.np_pow(X[:, 2], l))
-        for i, j, l in monos])
+    reps = np.nonzero(_scalar_class_rep_mask(q, len(monos)) & ~mask)[0]
+    table = monomial_table(field, _projective_points(q, 2), monos)
     meta = {"family": "planecurve", "params": {"r": r},
             "field": field.descriptor, "sign_scheme": {"kind": "all_ones"},
             "column_support": None,
@@ -710,31 +725,21 @@ def plane_curve_matrix(field: FieldSpec, r: int) -> MeasurementMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _p3_points(field: FieldSpec):
-    q = field.q
-    pts = [(1, a, b, c) for a in range(q) for b in range(q) for c in range(q)]
-    pts += [(0, 1, b, c) for b in range(q) for c in range(q)]
-    pts += [(0, 0, 1, c) for c in range(q)]
-    pts.append((0, 0, 0, 1))
-    return pts
-
-
 def fermat_surface_points(field: FieldSpec):
     """Rational points of sum x_i^(q+1) = 0 in P^3(F_{q^2}), canonical order."""
     if field.s % 2:
         raise PreconditionError("the Fermat surface needs a square field order")
     q = field.p ** (field.s // 2)
-    pts = _p3_points(field)
-    X = np.array(pts, dtype=np.int64)
+    X = _projective_points(field.q, 3)
     total = np.zeros(X.shape[0], dtype=np.int64)
     for i in range(4):
         total = field.np_add(total, field.np_pow(X[:, i], q + 1))
-    on = np.nonzero(total == 0)[0]
+    on = X[total == 0]
     expected = (q ** 3 + 1) * (q ** 2 + 1)
-    if on.size != expected:
+    if len(on) != expected:
         raise PointCountMismatch(
-            f"enumerated {on.size} surface points, expected {expected}")
-    return [pts[i] for i in on]
+            f"enumerated {len(on)} surface points, expected {expected}")
+    return [tuple(pt) for pt in on.tolist()]
 
 
 def fermat_hyperplane_matrix(field: FieldSpec) -> MeasurementMatrix:
@@ -746,7 +751,7 @@ def fermat_hyperplane_matrix(field: FieldSpec) -> MeasurementMatrix:
             f"field order {field.q} exceeds the Fermat cap {FERMAT_ORDER_CAP}")
     q = field.p ** (field.s // 2)
     surface = fermat_surface_points(field)
-    hyperplanes = np.array(_p3_points(field), dtype=np.int64)
+    hyperplanes = _projective_points(field.q, 3)
     # a hyperplane's coordinates are the coefficients of its linear form, so
     # its code is their base-Q number
     codes = hyperplanes @ (field.q ** np.arange(4, dtype=np.int64))
@@ -778,20 +783,8 @@ def projective_space_design(field: FieldSpec, n: int, r: int) -> EvaluationDesig
     if T > BASIS_CAP:
         raise BasisCapExceeded(f"T = C({n + r},{r}) = {T} exceeds {BASIS_CAP}")
     points = list(itertools.product(range(q), repeat=n))
-    exps = []
-    for d in range(r + 1):
-        level = [e for e in itertools.product(range(d + 1), repeat=n)
-                 if sum(e) == d]
-        level.sort(reverse=True)
-        exps.extend(level)
-    X = np.array(points, dtype=np.int64)
-    table = np.empty((T, len(points)), dtype=np.int64)
-    for t, e in enumerate(exps):
-        acc = np.ones(len(points), dtype=np.int64)
-        for i, ei in enumerate(e):
-            if ei:
-                acc = field.np_mul(acc, field.np_pow(X[:, i], ei))
-        table[t] = acc
+    exps = [e for d in range(r + 1) for e in monomials(n, d)]
+    table = monomial_table(field, np.array(points, dtype=np.int64), exps)
     bound = r * q ** (n - 1) + sum(q ** i for i in range(n - 1))
     names = [_monomial_name(e, tuple(f"x{i}" for i in range(n))) for e in exps]
     return EvaluationDesign(field, points, names, table, bound,
@@ -809,13 +802,10 @@ def ruled_surface_design(field: FieldSpec, d1: int, d2: int) -> EvaluationDesign
     if T > BASIS_CAP:
         raise BasisCapExceeded(f"T = {T} exceeds {BASIS_CAP}")
     points = list(itertools.product(range(q), repeat=2))
-    X = np.array(points, dtype=np.int64)
     exps = [(i, j) for i in range(d1 + 1) for j in range(d2 + 1)]
-    table = np.empty((T, len(points)), dtype=np.int64)
-    for t, (i, j) in enumerate(exps):
-        table[t] = field.np_mul(field.np_pow(X[:, 0], i), field.np_pow(X[:, 1], j))
+    table = monomial_table(field, np.array(points, dtype=np.int64), exps)
     bound = (d1 + d2) * (q + 1) - d1 * d2
-    names = [_monomial_name((i, j), ("x", "y")) for i, j in exps]
+    names = [_monomial_name(e, ("x", "y")) for e in exps]
     return EvaluationDesign(field, points, names, table, bound,
                             family="ruled", params={"d1": d1, "d2": d2})
 

@@ -7,7 +7,9 @@ count zeros of differences, which range over the function space itself, so
 the scan is over (q^T - 1)/(q - 1) scalar classes instead of N^2 pairs),
 restricted-isometry constants by exhausting k-column submatrices, and the
 surface section counts by scanning every hypersurface.  The exhaustive
-plane-curve census is constructions.plane_curve_census.
+plane-curve census is constructions.plane_curve_census.  The difference trick
+and the section scan evaluate one function per scalar class
+(scalar_class_codes) block by block, on the engine the families are built on.
 
 Oracle caps are hard limits with explicit errors, never silent truncation.
 """
@@ -22,11 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import (
+    BLOCK_ENTRIES,
     EvaluationDesign,
-    coefficient_digits,
     evaluate_coefficient_block,
+    evaluation_blocks,
     fermat_surface_points,
-    _p3_points,
+    monomial_table,
+    monomials,
+    scalar_class_codes,
 )
 from .errors import (
     DuplicateColumns,
@@ -44,7 +49,6 @@ DIFFERENCE_CLASS_CAP = 10 ** 7
 RIP_SUBSET_CAP = 200_000
 SECTION_CAP = 20_000  # scalar classes of sections scanned exhaustively
 SECTION_SAMPLES = 2000  # sections drawn, from seed 0, above SECTION_CAP
-_CHUNK = 65536  # scalar classes per difference-trick block
 
 
 @dataclass
@@ -115,35 +119,19 @@ def coherence_via_differences(design: EvaluationDesign):
     two functions agree, i.e. the zeros of their difference, and differences
     of distinct functions range over all nonzero members of the space.  Zero
     sets are invariant under scaling, so one representative per scalar class
-    suffices: mu = max_h #zeros(h) / |B|.
+    (scalar_class_codes) suffices: mu = max_h #zeros(h) / |B|.
     """
     q = design.field.q
-    T = design.T
-    classes = (q ** T - 1) // (q - 1)
+    classes = (q ** design.T - 1) // (q - 1)
     if classes > DIFFERENCE_CLASS_CAP:
         raise OracleCapExceeded(
             f"{classes} scalar classes exceed the cap {DIFFERENCE_CLASS_CAP}")
     B = design.size
     best = 0
-    # representatives: first nonzero coefficient equal to 1, enumerated by
-    # leading index; the remaining T-1-lead coefficients run over all codes
-    for lead in range(T):
-        free = T - 1 - lead
-        total = q ** free
-        for f0 in range(0, total, _CHUNK):
-            count = min(_CHUNK, total - f0)
-            coeffs = np.zeros((count, T), dtype=np.int64)
-            coeffs[:, lead] = 1
-            if free:
-                coeffs[:, lead + 1:] = coefficient_digits(
-                    q, np.arange(f0, f0 + count, dtype=np.int64), free)
-            vals = evaluate_coefficient_block(design.field, design.table,
-                                              coeffs)
-            zeros = (vals == 0).sum(axis=1)
-            m = int(zeros.max())
-            if m > best:
-                best = m
-            if m >= B:
+    for codes in scalar_class_codes(q, design.T):
+        for _, vals in evaluation_blocks(design.field, design.table, codes):
+            best = max(best, int((vals == 0).sum(axis=1).max()))
+            if best >= B:
                 raise DuplicateColumns(
                     "a nonzero function vanishes on every point; mu = 1")
     return Fraction(best, B)
@@ -197,61 +185,41 @@ class FermatSectionReport:
 def fermat_section_counts(field: FieldSpec, t: int = 1) -> FermatSectionReport:
     """Scan degree-t hypersurface sections of the Fermat surface.
 
-    Exhaustive over scalar classes when at most SECTION_CAP of them;
-    otherwise SECTION_SAMPLES sections drawn from seed 0, reported as such
-    (a sampled minimum is only a witness bound, never claimed exhaustive).
+    Exhaustive over scalar classes (scalar_class_codes) when at most
+    SECTION_CAP of them; otherwise SECTION_SAMPLES sections drawn from seed
+    0, reported as such (a sampled minimum is only a witness bound, never
+    claimed exhaustive).  Both are evaluated in blocks of about
+    BLOCK_ENTRIES values.
     """
     if field.s % 2:
         raise PreconditionError("the Fermat surface needs a square field order")
     q = field.p ** (field.s // 2)
     Q = field.q
     if not (1 <= t < q + 1):
-        raise GcdConditionViolated(f"need t < q + 1, got t={t}")
+        raise GcdConditionViolated(f"need 1 <= t < q + 1, got t={t}")
     if math.gcd(Q - 1, t) != 1:
         raise GcdConditionViolated(f"gcd(q^2 - 1, t) = {math.gcd(Q - 1, t)} != 1")
-    surface = fermat_surface_points(field)
-    X = np.array(surface, dtype=np.int64)
-    monos = [e for e in itertools.product(range(t + 1), repeat=4)
-             if sum(e) == t]
-    monos.sort(reverse=True)
-    V = np.empty((X.shape[0], len(monos)), dtype=np.int64)
-    for idx, e in enumerate(monos):
-        acc = np.ones(X.shape[0], dtype=np.int64)
-        for i, ei in enumerate(e):
-            if ei:
-                acc = field.np_mul(acc, field.np_pow(X[:, i], ei))
-        V[:, idx] = acc
-    m = len(monos)
-    classes = (Q ** m - 1) // (Q - 1)
-    exhaustive = classes <= SECTION_CAP
+    X = np.array(fermat_surface_points(field), dtype=np.int64)
+    table = monomial_table(field, X, monomials(4, t))
+    m = table.shape[0]
+    exhaustive = (Q ** m - 1) // (Q - 1) <= SECTION_CAP
     if exhaustive:
-        if t == 1:
-            coeff_sets = [np.array(h, dtype=np.int64) for h in _p3_points(field)]
-        else:
-            coeff_sets = []
-            for lead in range(m):
-                for rest in itertools.product(range(Q), repeat=m - 1 - lead):
-                    coeff_sets.append(np.array(
-                        (0,) * lead + (1,) + rest, dtype=np.int64))
+        values = (vals for codes in scalar_class_codes(Q, m)
+                  for _, vals in evaluation_blocks(field, table, codes))
     else:
         rng = np.random.default_rng(0)
-        coeff_sets = []
-        while len(coeff_sets) < SECTION_SAMPLES:
+        samples = []
+        while len(samples) < SECTION_SAMPLES:
             c = rng.integers(0, Q, size=m)
             if c.any():
-                coeff_sets.append(c.astype(np.int64))
-    min_count, max_count = None, 0
-    for coeffs in coeff_sets:
-        acc = np.zeros(X.shape[0], dtype=np.int64)
-        for idx in range(m):
-            if coeffs[idx]:
-                acc = field.np_add(acc, field.np_mul(np.int64(coeffs[idx]),
-                                                     V[:, idx]))
-        cnt = int((acc == 0).sum())
-        min_count = cnt if min_count is None else min(min_count, cnt)
-        max_count = max(max_count, cnt)
-    return FermatSectionReport(q=q, t=t, min_count=min_count,
-                               max_count=max_count,
-                               sections_checked=len(coeff_sets),
+                samples.append(c.astype(np.int64))
+        coeffs = np.array(samples)
+        step = max(1, BLOCK_ENTRIES // len(X))
+        values = (evaluate_coefficient_block(field, table, coeffs[i:i + step])
+                  for i in range(0, len(coeffs), step))
+    counts = np.concatenate([(vals == 0).sum(axis=1) for vals in values])
+    return FermatSectionReport(q=q, t=t, min_count=int(counts.min()),
+                               max_count=int(counts.max()),
+                               sections_checked=counts.size,
                                exhaustive=exhaustive,
                                lower_bound=(q - 1) ** 2 * (q + 1))

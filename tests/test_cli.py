@@ -174,6 +174,26 @@ def test_verify_diff_trick(tmp_path, capsys):
     assert line["agree"] is True
 
 
+def test_verify_diff_trick_cross_checks_above_the_pair_cap(tmp_path, capsys):
+    """N = 13^4 = 28561 lies above the pairwise scan's cap; the row-0
+    function-space scan of the evaluation matrix is the fast side."""
+    out = tmp_path / "d.agrip"
+    assert run_cli("construct", "--family", "devore", "--field", "13",
+                   "--r", "4", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--check", "diff-trick",
+                   "--design", str(tmp_path / "d.agrip.json")) == 0
+    line = json.loads(capsys.readouterr().out.strip())
+    assert line["oracle_value"] == {"num": 3, "den": 13}
+    assert line["agree"] is True
+
+
+def test_verify_fermat_rejects_t_zero(capsys):
+    assert run_cli("verify", "--check", "fermat", "--field", "2^2",
+                   "--t", "0") == 2
+    assert "need 1 <= t < q + 1, got t=0" in capsys.readouterr().err
+
+
 def test_verify_curves_and_fermat(capsys):
     assert run_cli("verify", "--check", "curves", "--field", "3", "--r", "2") == 0
     lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]

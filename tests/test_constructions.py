@@ -18,6 +18,7 @@ from agrip.constructions import (
     INFINITY,
     EvaluationDesign,
     build_design,
+    coefficient_digits,
     conic_symmetric_singular_mask,
     construction_a_simple_poles,
     construction_a_single_point,
@@ -25,15 +26,16 @@ from agrip.constructions import (
     evaluation_matrix,
     fermat_hyperplane_matrix,
     fermat_surface_points,
+    monomials,
     plane_curve_census,
     plane_curve_matrix,
     plane_singular_mask,
     projective_space_design,
     ruled_surface_design,
+    scalar_class_codes,
     toric_design,
     _frobenius_representatives,
-    _p2_points,
-    _plane_monomials,
+    _projective_points,
     _rref,
 )
 from agrip.matrix import coherence, welch_bound_squared
@@ -147,7 +149,7 @@ def test_single_point_constant_column():
 def test_p2_point_count():
     for q in (2, 3, 4):
         f = make_field(*(2, 2) if q == 4 else (q, 1))
-        assert len(_p2_points(f)) == q * q + q + 1
+        assert len(_projective_points(f.q, 2)) == q * q + q + 1
 
 
 def test_conic_engine_matches_symmetric_rank_test_odd_p():
@@ -165,14 +167,14 @@ def test_conic_census_f2_exhaustive_over_63_tuples():
     count = 0
     from agrip.fields import extension_with_embedding
     from itertools import product
-    monos = _plane_monomials(2)
+    monos = monomials(3, 2)
     for coeffs in product(range(2), repeat=6):
         if not any(coeffs):
             continue
         singular = False
         for k in (1, 2, 3):
             E, emb = extension_with_embedding(f2, k)
-            for (x, y, z) in _p2_points(E):
+            for (x, y, z) in _projective_points(E.q, 2).tolist():
                 val = 0
                 dx = dy = dz = 0
                 for c, (i, j, l) in zip(coeffs, monos):
@@ -236,7 +238,7 @@ def test_frobenius_representatives_partition_the_new_points(p, s, k):
     Q = E.q
     points = [(1, a, b) for a in range(Q) for b in range(Q)]
     points += [(0, 1, b) for b in range(Q)] + [(0, 0, 1)]
-    assert _p2_points(E) == points
+    assert _projective_points(E.q, 2).tolist() == [list(pt) for pt in points]
     index = {pt: i for i, pt in enumerate(points)}
     base = set(emb.tolist())
     new = {pt for pt in points if not set(pt) <= base}
@@ -278,10 +280,10 @@ def test_cubic_census_f2_independent_per_form():
     from itertools import product
     from agrip.fields import extension_with_embedding
     f2 = make_field(2)
-    monos = _plane_monomials(3)
+    monos = monomials(3, 3)
     count = 0
     exts = [extension_with_embedding(f2, k)[0] for k in (1, 2, 3)]
-    ext_pts = [(E, _p2_points(E)) for E in exts]
+    ext_pts = [(E, _projective_points(E.q, 2).tolist()) for E in exts]
     for coeffs in product(range(2), repeat=10):
         if not any(coeffs):
             continue
@@ -316,10 +318,9 @@ def test_cubic_census_f3_matches_independent_dense_scan():
     # their nullspaces instead); char 3 exercises the
     # degenerate-Euler case for cubics
     from agrip.fields import extension_with_embedding
-    from agrip.constructions import coefficient_digits
     p, r = 3, 3
     field = make_field(p)
-    monos = _plane_monomials(r)
+    monos = monomials(3, r)
     m = len(monos)
     total = p ** m
     C = coefficient_digits(p, np.arange(total, dtype=np.int64), m)
@@ -329,7 +330,7 @@ def test_cubic_census_f3_matches_independent_dense_scan():
         # a form over F_p is singular at a point iff it is singular at the
         # point's Frobenius conjugates, so one point per orbit is evaluated
         # (x -> x^p keeps the first nonzero coordinate at 1)
-        all_pts = _p2_points(E)
+        all_pts = [tuple(pt) for pt in _projective_points(E.q, 2).tolist()]
         index = {pt: i for i, pt in enumerate(all_pts)}
         pts = []
         for i, pt in enumerate(all_pts):
@@ -407,6 +408,28 @@ def test_plane_curve_rejects_degree_4():
 def test_fermat_point_counts():
     assert len(fermat_surface_points(make_field(2, 2))) == 45
     assert len(fermat_surface_points(make_field(3, 2))) == 280
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_projective_points_p3_order(q):
+    points = [(1, a, b, c) for a in range(q) for b in range(q) for c in range(q)]
+    points += [(0, 1, b, c) for b in range(q) for c in range(q)]
+    points += [(0, 0, 1, c) for c in range(q)]
+    points.append((0, 0, 0, 1))
+    assert [tuple(pt) for pt in _projective_points(q, 3).tolist()] == points
+
+
+@pytest.mark.parametrize("p,s,T", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2)],
+                         ids=["F2^4", "F3^3", "F4^2", "F5^2"])
+def test_scalar_class_codes_pick_one_vector_per_class(p, s, T):
+    field = make_field(p, s)
+    q = field.q
+    weights = q ** np.arange(T)
+    codes = np.concatenate([np.array(r) for r in scalar_class_codes(q, T)])
+    vectors = coefficient_digits(q, codes, T)
+    scaled = field.np_mul(np.arange(1, q)[:, None, None], vectors[None])
+    hits = np.bincount((scaled @ weights).ravel(), minlength=q ** T)
+    assert hits[0] == 0 and np.all(hits[1:] == 1)
 
 
 def test_fermat_matrix_q2():

@@ -138,6 +138,26 @@ def test_fermat_sections_q2():
     assert report.satisfied
 
 
+@pytest.mark.parametrize("p,s", [(2, 2), (3, 2), (2, 4)],
+                         ids=["F4", "F9", "F16"])
+def test_fermat_plane_sections_match_closed_forms(p, s):
+    """Hyperplane sections of the Hermitian surface over F_{q^2} have
+    q^3 + 1 points (non-tangent) or q^3 + q^2 + 1 (tangent)."""
+    field = make_field(p, s)
+    Q, q = field.q, p ** (s // 2)
+    report = fermat_section_counts(field, 1)
+    assert report.exhaustive
+    assert (report.min_count, report.max_count, report.sections_checked) == (
+        q ** 3 + 1, q ** 3 + q ** 2 + 1, Q ** 3 + Q ** 2 + Q + 1)
+
+
+def test_fermat_sections_sampled_at_the_default_caps():
+    report = fermat_section_counts(make_field(2, 2), 2)
+    assert not report.exhaustive
+    assert (report.min_count, report.max_count, report.sections_checked) == (
+        3, 23, 2000)
+
+
 def test_fermat_sections_gcd_violation():
     with pytest.raises(GcdConditionViolated):
         fermat_section_counts(make_field(3, 2), 2)  # gcd(8, 2) = 2
@@ -150,3 +170,4 @@ def test_fermat_sections_sampled_beyond_cap(monkeypatch):
     assert not report.exhaustive
     assert report.sections_checked == 50
     assert report.min_count >= report.lower_bound
+    assert (report.min_count, report.max_count) == (23, 46)

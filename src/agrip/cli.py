@@ -15,6 +15,7 @@ Conventions:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -478,7 +479,12 @@ def _args_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The agrip parser, built on first use and shared by later calls.
+
+    parse_args returns a new namespace each time; the subcommand functions
+    are bound when the parser is built."""
     parser = _Parser(prog="agrip",
                      description="deterministic measurement matrices from "
                                  "finite geometry, with exact verification")

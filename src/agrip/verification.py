@@ -35,6 +35,7 @@ from .constructions import (
 )
 from .errors import (
     DuplicateColumns,
+    EnumerationCapExceeded,
     GcdConditionViolated,
     OracleCapExceeded,
     PreconditionError,
@@ -49,6 +50,7 @@ DIFFERENCE_CLASS_CAP = 10 ** 7
 RIP_SUBSET_CAP = 200_000
 SECTION_CAP = 20_000  # scalar classes of sections scanned exhaustively
 SECTION_SAMPLES = 2000  # sections drawn, from seed 0, above SECTION_CAP
+SECTION_POINT_CAP = 1 << 20  # points of P^3(F_Q) the section scan enumerates
 
 
 @dataclass
@@ -189,7 +191,8 @@ def fermat_section_counts(field: FieldSpec, t: int = 1) -> FermatSectionReport:
     SECTION_CAP of them; otherwise SECTION_SAMPLES sections drawn from seed
     0, reported as such (a sampled minimum is only a witness bound, never
     claimed exhaustive).  Both are evaluated in blocks of about
-    BLOCK_ENTRIES values.
+    BLOCK_ENTRIES values.  Fields whose P^3 has more than SECTION_POINT_CAP
+    points are refused before anything is enumerated.
     """
     if field.s % 2:
         raise PreconditionError("the Fermat surface needs a square field order")
@@ -199,6 +202,10 @@ def fermat_section_counts(field: FieldSpec, t: int = 1) -> FermatSectionReport:
         raise GcdConditionViolated(f"need 1 <= t < q + 1, got t={t}")
     if math.gcd(Q - 1, t) != 1:
         raise GcdConditionViolated(f"gcd(q^2 - 1, t) = {math.gcd(Q - 1, t)} != 1")
+    points = Q ** 3 + Q ** 2 + Q + 1
+    if points > SECTION_POINT_CAP:
+        raise EnumerationCapExceeded(f"P^3(F_{Q}) has {points} points, above "
+                                     f"the section-scan cap {SECTION_POINT_CAP}")
     X = np.array(fermat_surface_points(field), dtype=np.int64)
     table = monomial_table(field, X, monomials(4, t))
     m = table.shape[0]

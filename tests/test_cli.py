@@ -194,6 +194,57 @@ def test_verify_fermat_rejects_t_zero(capsys):
     assert "need 1 <= t < q + 1, got t=0" in capsys.readouterr().err
 
 
+def test_verify_fermat_refuses_a_large_field_with_exit_3(capsys,
+                                                        monkeypatch):
+    import tracemalloc
+    import agrip.verification
+
+    def enumerate_points(field):
+        raise AssertionError("P^3 enumerated before the cap was checked")
+    monkeypatch.setattr(agrip.verification, "fermat_surface_points",
+                        enumerate_points)
+    tracemalloc.start()
+    try:
+        code = run_cli("verify", "--check", "fermat", "--field", "2^8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "section-scan cap" in capsys.readouterr().err
+    assert peak < 4 << 20
+
+
+def test_parser_is_built_once_and_parses_independent_namespaces(tmp_path,
+                                                                capsys):
+    from agrip import __version__
+    from agrip.cli import build_parser
+
+    assert build_parser() is build_parser()
+    verify = build_parser().parse_args(
+        ["verify", "--check", "curves", "--field", "3", "--r", "2"])
+    analyze = build_parser().parse_args(["analyze", "--in", "x.agrip"])
+    assert (verify.subcommand, verify.check, verify.r) == ("verify", "curves", 2)
+    assert analyze.subcommand == "analyze" and analyze.infile == "x.agrip"
+    assert not hasattr(analyze, "check") and not hasattr(verify, "omega_mode")
+    # consecutive main calls with different subcommands
+    out = tmp_path / "d.agrip"
+    assert run_cli("verify", "--check", "curves", "--field", "3",
+                   "--r", "2") == 0
+    assert run_cli("construct", "--family", "devore", "--field", "3",
+                   "--r", "2", "--out", str(out)) == 0
+    assert run_cli("analyze", "--in", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("--version") == 0
+    assert capsys.readouterr().out.strip() == __version__
+    assert run_cli("analyze") == 1
+    assert "the following arguments are required: --in" in (
+        capsys.readouterr().err)
+    assert run_cli("verify", "--check", "curves", "--field", "3",
+                   "--r", "2") == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])[
+        "oracle_value"] == 468
+
+
 def test_verify_curves_and_fermat(capsys):
     assert run_cli("verify", "--check", "curves", "--field", "3", "--r", "2") == 0
     lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import agrip.constructions
 from agrip.errors import ColumnCapExceeded, NonBinaryInput
@@ -16,6 +17,7 @@ from agrip.constructions import (
 )
 from agrip.matrix import average_coherence, coherence, coherence_report
 from agrip.signs import (
+    _random_bits,
     balanced_matrix,
     certify_strong_coherence,
     expected_abs_inner_product,
@@ -66,6 +68,50 @@ def test_randomize_is_column_keyed():
     Rsub = randomize_signs(sub, 5)
     for j in range(4):
         assert np.array_equal(R.column(j)[1], Rsub.column(j)[1])
+
+
+def reference_bits(seed, columns, lengths):
+    """The per-column numpy stream that _random_bits reproduces."""
+    return np.concatenate(
+        [np.random.default_rng([seed, int(j)]).integers(0, 2, int(L),
+                                                        dtype=np.int64)
+         for j, L in zip(columns, lengths)] + [np.zeros(0, dtype=np.int64)])
+
+
+_EDGE_SEEDS = (2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 63) | st.sampled_from(_EDGE_SEEDS),
+       st.lists(st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 64)),
+                max_size=6))
+@example(0, [])
+@example(2 ** 64, [(0, 0), (1, 1), (2 ** 32 - 1, 64), (7, 0), (8, 3)])
+def test_random_bits_equal_the_numpy_stream(seed, columns):
+    cols = [j for j, _ in columns]
+    lengths = [L for _, L in columns]
+    assert np.array_equal(_random_bits(seed, cols, lengths),
+                          reference_bits(seed, cols, lengths))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 70 + 1])
+def test_randomize_signs_long_columns(seed):
+    # two columns of 2^12 entries: outputs far along the jump-ahead table
+    from agrip.matrix import MeasurementMatrix
+    L = 1 << 12
+    M = MeasurementMatrix.from_csc(L, 2, [0, L, 2 * L],
+                                   np.tile(np.arange(L), 2), np.ones(2 * L))
+    bits = reference_bits(seed, [0, 1], [L, L])
+    assert np.array_equal(randomize_signs(M, seed).data, 2 * bits - 1)
+
+
+def test_randomize_signs_reads_the_per_column_stream():
+    M = devore(make_field(5), 3)
+    for seed in (3, 2 ** 96 + 1):
+        R = randomize_signs(M, seed)
+        bits = reference_bits(seed, range(M.N), np.diff(M.indptr))
+        assert np.array_equal(R.data, 2 * bits - 1)
+        assert np.array_equal(R.indices, M.indices)
 
 
 # -- expected |inner product| ---------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 import agrip.verification
 from agrip.errors import (
     DuplicateColumns,
+    EnumerationCapExceeded,
     GcdConditionViolated,
     OracleCapExceeded,
     PreconditionError,
@@ -156,6 +157,19 @@ def test_fermat_sections_sampled_at_the_default_caps():
     assert not report.exhaustive
     assert (report.min_count, report.max_count, report.sections_checked) == (
         3, 23, 2000)
+
+
+def test_fermat_sections_refuse_a_large_field_before_enumerating(
+        monkeypatch):
+    def enumerate_points(field):
+        raise AssertionError("P^3 enumerated before the cap was checked")
+    monkeypatch.setattr(agrip.verification, "fermat_surface_points",
+                        enumerate_points)
+    with pytest.raises(EnumerationCapExceeded):
+        fermat_section_counts(make_field(2, 8), 1)  # 16 843 009 points
+    for p, s in [(2, 6), (3, 4)]:  # F_64 and F_81 stay under the cap
+        with pytest.raises(AssertionError):
+            fermat_section_counts(make_field(p, s), 1)
 
 
 def test_fermat_sections_gcd_violation():

@@ -412,12 +412,15 @@ class FieldSpec:
         return self._np_digits
 
     def _np_log_tables(self):
-        """Exp and log arrays of an extension field (s > 1)."""
+        """Exp and log arrays of an extension field (s > 1), exp[log a + log b]
+        = a b for all codes: log[0] = S = 2(q - 1), exp the powers twice, then
+        zeros up to index 2S."""
         if self._np_exp is None:
             if self._exp is None:
                 self._rebuild_tables_from_theta()
-            self._np_log = np.array(self._log, dtype=np.int64)
-            self._np_exp = np.array(self._exp, dtype=np.int64)  # marks both built
+            S = 2 * (self.q - 1)
+            self._np_log = np.array([S] + self._log[1:], dtype=np.int64)
+            self._np_exp = np.array(self._exp * 2 + [0] * (S + 1), dtype=np.int64)
         return self._np_exp, self._np_log
 
     def _np_from_digits(self, digits) -> np.ndarray:
@@ -481,11 +484,7 @@ class FieldSpec:
         if self.s == 1:
             return (xs * ys) % self.p
         exp, log = self._np_log_tables()
-        out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.int64)
-        nz = (xs != 0) & (ys != 0)
-        b = np.broadcast_arrays(xs, ys)
-        out[nz] = exp[(log[b[0][nz]] + log[b[1][nz]]) % (self.q - 1)]
-        return out
+        return exp[log[xs] + log[ys]]
 
     def np_pow(self, xs, e: int) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)

@@ -10,8 +10,9 @@ products and integer squared norms, so every value is either a Fraction or a
 single-radicand SurdSum; average coherence over columns with mixed norms is a
 general SurdSum.
 
-All three come from one exact symmetric Gram pass over tiles (_gram_scan): per
-squared-norm group, the signed and absolute row sums and the largest |G_ij|.
+All three come from one exact symmetric pass over tiles of |G| (_gram_scan),
+float32 or float64 as n max|a|^2 allows: per squared-norm group, the absolute
+row sums and the largest |G_ij|; the signed row sums take one product per group.
 The pairwise scan is capped (default 20000 columns); above the cap it
 refuses to run rather than blow up at O(N^2).
 
@@ -69,8 +70,8 @@ from .exact import (
 
 DEFAULT_PAIR_CAP = 20_000
 _GRAM_TILE = 512  # Gram tile edge; faster than 256 and 1024
-_GRAM_BLOCK_ENTRIES = 1 << 23  # 64 MB of float64 per dense column slab
-_DENSE_WORK_RATIO = 100  # dense below, sparse above (see _gram_scan)
+_GRAM_BLOCK_ENTRIES = 1 << 23  # dense column slab entries: 32 MB float32, 64 MB float64
+_DENSE_WORK_RATIO = 1200  # dense below, sparse above (see _gram_scan)
 _IO_BLOCK = 1 << 16  # lines per rendered block
 FORMAT_NAME = "AGRIP-SPARSE"
 FORMAT_VERSION = 1
@@ -224,14 +225,24 @@ def _densify(n, indptr, indices, data, dtype=np.int64) -> np.ndarray:
     return out
 
 
-def _check_gram_input(M: MeasurementMatrix):
-    """N >= 2, B = n max|a|^2 < 2^53 and N B < 2^63 (see _gram_scan)."""
+def _check_gram_input(M: MeasurementMatrix) -> int:
+    """B = n max|a|^2, checked: N >= 2, B < 2^53 and N B < 2^63 (see _gram_scan)."""
     if M.N < 2:
         raise SingleColumn("coherence metrics need at least two columns")
     bound = M.n * M.peak_square()
     if bound >= 1 << 53 or M.N * bound >= 1 << 63:
         raise PreconditionError(f"n max|a|^2 = {bound} with N = {M.N} "
                                 "overflows the exact int64 Gram scan")
+    return bound
+
+
+def _signed_sums(A, group: np.ndarray, g: int, c: np.ndarray) -> np.ndarray:
+    """(N, g) sums of G_ij, j != i, over each norm group v: A^T (A e_v), e_v
+    its indicator, less c_i where group[i] = v; O(nnz g), exact in int64."""
+    S = np.empty((group.size, g), dtype=np.int64)
+    for v in range(g):
+        S[:, v] = A.T @ (A @ (e := group == v)) - c * e
+    return S
 
 
 class _GramScan(NamedTuple):
@@ -252,18 +263,19 @@ def _gram_tile(n: int) -> int:
 def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
     """One exact pass over each column pair of G = A^T A, once.
 
-    A task takes a slab I of norm-sorted columns, one tile edge wide, and
-    walks the tiles G_IJ, J >= I.  As the norm groups are contiguous, an
-    off-diagonal tile adds I's per-group sums along axis 1, J's sums,
-    grouped by I's norm groups, along axis 0, and its maxima to pair_max,
-    symmetrised at the end; the diagonal tile, its diagonal zeroed, adds
-    along axis 1 only.  Tiles are float64 GEMMs of dense slabs
-    when n N^2 < _DENSE_WORK_RATIO * sum_k r_k^2, the sparse product's work
-    (r_k nonzeros in row k), else scipy int64 products.  By Cauchy-Schwarz
-    every partial sum in a tile is an integer of size at most
-    B = n max|a|^2 < 2^53, so both are exact; the sums stay under N B < 2^63.
+    The tiles carry |G| only; the signed sums are _signed_sums.  A task
+    takes a slab I of norm-sorted columns, one tile edge wide, and walks the
+    tiles |G_IJ|, J >= I.  As the norm groups are contiguous, an off-diagonal
+    tile adds I's per-group sums along axis 1, J's sums, grouped by I's norm
+    groups, along axis 0, and its maxima to pair_max, symmetrised at the
+    end; the diagonal tile, its diagonal zeroed, adds along axis 1 only.
+    Tiles are GEMMs of dense slabs when n N^2 < _DENSE_WORK_RATIO *
+    sum_k r_k^2, the sparse product's work (r_k nonzeros in row k), else
+    scipy int64 products.  By Cauchy-Schwarz every partial sum in a tile is
+    an integer of size at most B = n max|a|^2 < 2^53, so float64 slabs are
+    exact, and float32 ones, used when B < 2^24; sums stay under N B < 2^63.
     """
-    _check_gram_input(M)
+    bound = _check_gram_input(M)
     if M.N > pair_cap:
         raise PairScanCapExceeded(
             f"{M.N} columns exceed the pairwise cap {pair_cap}; raise the "
@@ -275,9 +287,10 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
     A = M.to_csc()[:, order]
     N, g, edge = M.N, values.size, _gram_tile(M.n)
     dense = M.n * N * N < _DENSE_WORK_RATIO * int(np.sum(np.bincount(M.indices) ** 2))
+    dtype = np.float32 if bound < 1 << 24 else np.float64
 
     slab = ((lambda j0, j1: _densify(M.n, A.indptr[j0:j1 + 1], A.indices,
-                                     A.data, np.float64)) if dense
+                                     A.data, dtype)) if dense
             else (lambda j0, j1: A[:, j0:j1]))
 
     def segments(j0, j1):  # offsets of the norm groups in j0..j1, their range
@@ -289,31 +302,31 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
         heads = segments(i0, i1)[0]
         spans = list(zip(heads, [*heads[1:], i1 - i0]))  # slab rows per group
         left = slab(i0, i1)
-        rows = np.zeros((3, i1 - i0, g), dtype=np.int64)  # signed, absolute, max
-        cols = np.zeros((2, len(spans), N - i0), dtype=np.int64)
+        rows = np.zeros((2, i1 - i0, g), dtype=np.int64)  # sum and max of |G|
+        cols = np.zeros((len(spans), N - i0), dtype=np.int64)
         for k0, k1 in [(i0, i1)] + [(k, min(k + edge, N)) for k in range(i1, N, edge)]:
             G = left.T @ (left if k0 == i0 else slab(k0, k1))
-            G = G.astype(np.int64) if dense else G.toarray()
+            G = np.abs(G if dense else G.toarray()).astype(np.int64, copy=False)
             if k0 == i0:
                 np.fill_diagonal(G, 0)
             at, groups = segments(k0, k1)
-            for s, part in enumerate((G, np.abs(G))):
-                rows[s, :, groups] += np.add.reduceat(part, at, axis=1)
-                # row slices sum faster than np.add.reduceat along axis 0
-                cols[s, :, k0 - i0:k1 - i0] = [part[a:b].sum(0) for a, b in spans]
-            np.maximum(rows[2, :, groups], np.maximum.reduceat(part, at, axis=1),
-                       out=rows[2, :, groups])
+            rows[0, :, groups] += np.add.reduceat(G, at, axis=1)
+            # row slices sum faster than np.add.reduceat along axis 0
+            cols[:, k0 - i0:k1 - i0] = [G[a:b].sum(0) for a, b in spans]
+            np.maximum(rows[1, :, groups], np.maximum.reduceat(G, at, axis=1),
+                       out=rows[1, :, groups])
         return rows, cols
 
     slabs = [(i, min(i + edge, N)) for i in range(0, N, edge)]
-    sums = np.zeros((2, N, g), dtype=np.int64)
+    absolute = np.zeros((N, g), dtype=np.int64)
     pair_max = np.zeros((g, g), dtype=np.int64)
     with ThreadPoolExecutor(min(worker_count(), len(slabs))) as ex:
         for (i0, i1), (rows, cols) in zip(slabs, ex.map(scan, slabs)):
-            sums[:, i0:i1] += rows[:2]
-            sums[:, i1:, segments(i0, i1)[1]] += cols[:, :, i1 - i0:].transpose(0, 2, 1)
-            np.maximum.at(pair_max, group[i0:i1], rows[2])
-    return _GramScan(values, c, sums[0], sums[1], np.maximum(pair_max, pair_max.T))
+            absolute[i0:i1] += rows[0]
+            absolute[i1:, segments(i0, i1)[1]] += cols[:, i1 - i0:].T
+            np.maximum.at(pair_max, group[i0:i1], rows[1])
+    return _GramScan(values, c, _signed_sums(A, group, g, c), absolute,
+                     np.maximum(pair_max, pair_max.T))
 
 
 def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
@@ -323,16 +336,16 @@ def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
     not checked.  Column 0 is the zero function, and every |row f| of G is
     a permutation of |row 0| that fixes the diagonal (see the module
     docstring), so pair_max is max_g |G_0g| and every absolute row sum is
-    sum_g |G_0g|, g != 0.  The signed row sums are A^T (A 1) less the
-    diagonal c, as for any matrix.
+    sum_g |G_0g|, g != 0.  The signed row sums are _signed_sums with one
+    group, A^T (A 1) less the diagonal c, as for any matrix.
     """
     _check_gram_input(M)
     c = M.sqnorms()
     A = M.to_csc()
     row0 = np.abs(A.T @ _densify(M.n, M.indptr[:2], M.indices, M.data)[:, 0])
     row0[0] = 0
-    signed = A.T @ (A @ np.ones(M.N, dtype=np.int64)) - c
-    return _GramScan(c[:1], c, signed[:, None], np.full((M.N, 1), row0.sum()),
+    return _GramScan(c[:1], c, _signed_sums(A, np.zeros(M.N, np.int64), 1, c),
+                     np.full((M.N, 1), row0.sum()),
                      row0.max(keepdims=True)[:, None])
 
 
@@ -358,10 +371,11 @@ def _average_coherence_from(scan: _GramScan, mode: str):
     if len(values) == 1:
         return Fraction(int(np.abs(S[:, 0]).max()), values[0] * (N - 1))
     # score_i = sum_v S[i,v] / sqrt(v c_i) depends on the row only through
-    # (S[i,:], c_i), so each distinct row is summed and compared once
+    # (S[i,:], c_i), so each distinct row (in lexsort order) is summed once
+    rows = np.column_stack([S, scan.sqnorms])
+    rows = rows[np.lexsort(rows.T)]
     best = None
-    for *sums, ci in np.unique(np.column_stack([S, scan.sqnorms]),
-                               axis=0).tolist():
+    for *sums, ci in rows[np.r_[True, (rows[1:] != rows[:-1]).any(1)]].tolist():
         total = sum((SurdSum.ratio_sqrt(s, v * ci)
                      for s, v in zip(sums, values)), SurdSum())
         if mode == "signed":
@@ -547,7 +561,9 @@ def _decimal_table(values: np.ndarray, end: bytes) -> np.ndarray:
 
 
 def write_sparse(M: MeasurementMatrix, path) -> None:
-    values, value = np.unique(M.data, return_inverse=True)
+    lo, hi = int(M.data.min()), int(M.data.max())  # Python ints: no overflow
+    values, value = ((lo + np.arange(hi - lo + 1), M.data - lo)  # no sort
+                     if hi - lo < _IO_BLOCK else np.unique(M.data, return_inverse=True))
     column = np.repeat(np.arange(M.N), np.diff(M.indptr))
     tables = [(_decimal_table(np.arange(M.N), b" "), column),
               (_decimal_table(np.arange(M.n), b" "), M.indices),

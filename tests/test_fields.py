@@ -151,6 +151,26 @@ def test_np_helpers_match_scalar_ops():
                 assert pw[i] == f.pow(int(xs[i]), e)
 
 
+def test_np_mul_matches_scalar_mul_on_every_pair_up_to_81():
+    import numpy as np
+
+    for f in all_fields_up_to(81):
+        xs, ys = np.meshgrid(np.arange(f.q), np.arange(f.q), indexing="ij")
+        assert f.np_mul(xs, ys).tolist() == [
+            [f.mul(x, y) for y in range(f.q)] for x in range(f.q)]
+
+
+def test_np_mul_matches_scalar_mul_on_a_broadcast_block_of_f256():
+    import numpy as np
+
+    f = make_field(2, 8)
+    rng = np.random.default_rng(0)
+    xs, ys = rng.integers(0, f.q, (40, 1)), rng.integers(0, f.q, (1, 300))
+    xs[:3], ys[0, :3] = 0, 0  # zero rows and columns
+    assert f.np_mul(xs, ys).tolist() == [
+        [f.mul(int(x), int(y)) for y in ys[0]] for x in xs[:, 0]]
+
+
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
 def test_np_add_neg_trace_match_scalar_ops_on_every_element(p, s):
     import numpy as np

@@ -593,16 +593,32 @@ def _gram_scan_by_definition(arr):
            lambda shape: arrays(np.int64, shape, elements=st.sampled_from(
                [0, 0, 0, 1, -1, 2, -3]))),
        tile=st.integers(1, 9))
-@pytest.mark.parametrize("ratio", [0, 10 ** 30],
-                         ids=["sparse-tiles", "dense-tiles"])
-def test_gram_scan_matches_the_dense_gram_matrix(ratio, arr, tile,
+@example(arr=np.array([[2, 2], [1, 1]]), tile=1)  # 5000^2 + 1: odd, > 2^24
+@pytest.mark.parametrize("ratio,big", [(0, None), (10 ** 30, None),
+                                       (10 ** 30, 5000)],  # B >= 2^24
+                         ids=["sparse-tiles", "dense-tiles",
+                              "dense-tiles-entry-5000"])
+def test_gram_scan_matches_the_dense_gram_matrix(ratio, big, arr, tile,
                                                  monkeypatch):
+    if big:
+        arr = np.where(arr == 2, big, arr)
     arr[0, ~arr.any(axis=0)] = 1  # no zero column
     monkeypatch.setattr(agrip.matrix, "_DENSE_WORK_RATIO", ratio)
     monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", tile)
     scan = _gram_scan(dense_to_matrix(arr), DEFAULT_PAIR_CAP)
     for got, want in zip(scan, _gram_scan_by_definition(arr)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_dense_tiles_stay_exact_above_float32_integers(monkeypatch):
+    """B = 2 * 4097^2 >= 2^24, and the odd inner product 4097^2 + 2 =
+    16 785 411 has no float32 spelling (it would round to 16 785 410)."""
+    arr = np.array([[4097, 4097], [1, 2]])
+    monkeypatch.setattr(agrip.matrix, "_DENSE_WORK_RATIO", 10 ** 30)
+    scan = _gram_scan(dense_to_matrix(arr), DEFAULT_PAIR_CAP)
+    assert scan.pair_max.tolist() == [[0, 16_785_411], [16_785_411, 0]]
+    for got, want in zip(scan, _gram_scan_by_definition(arr)):
+        assert np.array_equal(got, want)
 
 
 def test_default_gram_block_stays_under_the_byte_budget():

@@ -12,13 +12,10 @@ __version__ = "0.1.0"
 from .errors import AgripError
 from .exact import SurdSum, exact_ratio_sqrt
 from .fields import (
-    FieldElement,
     FieldSpec,
-    enumerate_elements,
     extension_with_embedding,
     make_field,
     parse_descriptor,
-    trace,
 )
 from .matrix import (
     CoherenceReport,

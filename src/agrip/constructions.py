@@ -68,7 +68,7 @@ from .errors import (
     PreconditionError,
     RankDeficient,
 )
-from .fields import FieldElement, FieldSpec, extension_with_embedding, make_field
+from .fields import FieldSpec, extension_with_embedding, make_field
 from .matrix import MeasurementMatrix
 
 BASIS_CAP = 24
@@ -81,17 +81,17 @@ INFINITY = "inf"
 
 
 def _point_code(field, x):
-    if isinstance(x, FieldElement):
-        return x.code
-    if isinstance(x, str):
-        if x == INFINITY:
-            return INFINITY
-        try:
-            x = int(x)
-        except ValueError:
-            raise PreconditionError(
-                f"point {x!r} is neither a field code nor {INFINITY!r}") from None
-    code = int(x)
+    """A point given as an integer code, its decimal string or INFINITY."""
+    if isinstance(x, str) and x == INFINITY:
+        return INFINITY
+    refused = PreconditionError(
+        f"point {x!r} is neither a field code nor {INFINITY!r}")
+    if isinstance(x, bool) or not isinstance(x, (str, int, np.integer)):
+        raise refused
+    try:
+        code = int(x)
+    except ValueError:
+        raise refused from None
     if not (0 <= code < field.q):
         raise PreconditionError(f"point code {code} outside F_{field.q}")
     return code

@@ -12,10 +12,15 @@ Reproducibility conventions:
   order of its lower coefficients;
 * theta: the first element of multiplicative order p**s - 1 in enumeration
   order;
-* equality of elements is coefficient-vector equality (plus matching field
-  parameters), and hashing follows suit.
+* two fields are equal when p, s and the modulus agree.
 
-Field orders are capped at 2**20 by policy.
+An extension field multiplies through one (exp, log) pair of numpy arrays,
+built on first use by repeated doubling of the known powers of theta; the
+scalar and the array operations read the same pair.
+
+Field orders are capped at 2**20 by policy.  make_field compares p and s
+with the cap before any other work, so an oversized descriptor is refused
+at once.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .errors import (
 )
 
 FIELD_ORDER_CAP = 1 << 20
-_LOG_TABLE_CAP = 1 << 16
 _NP_TABLE_CAP = 1 << 10  # q x q addition tables for p odd up to this q
 
 
@@ -141,113 +145,22 @@ def _is_irreducible(modulus, p) -> bool:
     return True
 
 
-class FieldElement:
-    """An element of a FieldSpec, stored as its integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: "FieldSpec", code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise PreconditionError("elements of different fields")
-            return other.code
-        if isinstance(other, int):
-            return self.field.element_from_subfield(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(c)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def trace(self) -> int:
-        return self.field.trace(self.code)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return (self.field == other.field) and self.code == other.code
-        if isinstance(other, int):
-            # integers compare through the prime-subfield embedding
-            return self.code == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.s, self.field.modulus, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        if self.field.s == 1:
-            return f"F{self.field.p}({self.code})"
-        return f"F{self.field.q}{self.coeffs}"
-
-
 class FieldSpec:
     """Immutable description of F_{p^s} with its arithmetic tables.
 
     Build through make_field(); instances are safe to share across threads.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "theta", "_exp", "_log",
-                 "_np_exp", "_np_log", "_np_digits", "_np_sum", "_np_negation")
+    __slots__ = ("p", "s", "q", "modulus", "theta", "_exp_log",
+                 "_np_digits", "_np_sum", "_np_negation")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
         self.s = s
         self.q = p ** s
         self.modulus = modulus
-        self._exp = self._log = self._np_exp = self._np_log = None
-        self._np_digits = self._np_sum = self._np_negation = None
+        self._exp_log = self._np_digits = self._np_sum = self._np_negation = None
         self.theta = self._find_theta()
-        if s > 1 and self.q <= _LOG_TABLE_CAP:
-            self._rebuild_tables_from_theta()
 
     # -- construction helpers ------------------------------------------
 
@@ -259,18 +172,48 @@ class FieldSpec:
                 return code
         raise AssertionError("no primitive element found")
 
-    def _rebuild_tables_from_theta(self):
-        exp = [0] * (self.q - 1)
-        log = [-1] * self.q
-        acc = 1
-        for i in range(self.q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_raw(acc, self.theta)
-        if acc != 1:
-            raise AssertionError("theta order mismatch")
-        self._exp = exp
-        self._log = log
+    def _log_tables(self):
+        """(exp, log, exp view, log view) of an extension field (s > 1).
+
+        exp[log a + log b] = a b for all codes: log[0] = S = 2(q - 1), exp
+        holds the powers of theta twice, then zeros up to index 2S.  The
+        arrays serve the numpy ops; memoryviews of the same memory serve the
+        scalar ops, which index them about 3x faster than the arrays.  Built
+        on first use and stored in one attribute, so a thread sees all of it
+        or nothing.
+        """
+        if self._exp_log is None:
+            exp, log = self._build_log_tables()
+            self._exp_log = exp, log, memoryview(exp), memoryview(log)
+        return self._exp_log
+
+    def _build_log_tables(self):
+        p, n = self.p, self.q - 1
+        weights = p ** np.arange(self.s, dtype=np.int64)
+        # row j holds the digits of x^j theta, so digits(a theta^k) =
+        # digits(a) @ step^k mod p
+        step = np.array([self.decode(self._mul_raw(p ** j, self.theta))
+                         for j in range(self.s)], dtype=np.int64)
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[0] = 1
+        known = 1  # exp[:known] holds theta^0 ... theta^(known - 1)
+        block = 1 << 16  # rows of digits at a time, so memory stays bounded
+        while known < n:
+            count = min(known, n - known)
+            for lo in range(0, count, block):
+                hi = min(lo + block, count)
+                digits = exp[lo:hi, None] // weights % p
+                exp[known + lo:known + hi] = digits @ step % p @ weights
+            known += count
+            step = step @ step % p
+        counts = np.bincount(exp[:n], minlength=n + 1)
+        if counts[0] or (counts[1:] != 1).any():
+            raise AssertionError("powers of theta miss a nonzero code")
+        exp[n:2 * n] = exp[:n]
+        log = np.empty(n + 1, dtype=np.int64)
+        log[exp[:n]] = np.arange(n)
+        log[0] = 2 * n
+        return exp, log
 
     # -- codes ------------------------------------------------------------
 
@@ -288,31 +231,6 @@ class FieldSpec:
         for c in reversed(list(coeffs)):
             code = code * self.p + (c % self.p)
         return code
-
-    def element(self, code_or_coeffs) -> FieldElement:
-        if isinstance(code_or_coeffs, (tuple, list)):
-            code = self.encode(code_or_coeffs)
-        else:
-            code = int(code_or_coeffs)
-            if not (0 <= code < self.q):
-                raise PreconditionError(f"code {code} out of range for F_{self.q}")
-        return FieldElement(self, code)
-
-    def element_from_subfield(self, residue: int) -> int:
-        """Code of an integer residue embedded through the prime subfield."""
-        return residue % self.p
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self):
-        for code in range(self.q):
-            yield FieldElement(self, code)
 
     # -- raw arithmetic on codes ---------------------------------------
 
@@ -347,20 +265,16 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._mul_raw(a, b)
+        _, _, exp, log = self._exp_log or self._log_tables()
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.s == 1:
             return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(-self._log[a]) % (self.q - 1)]
-        return self._pow_raw(a, self.q - 2)
+        _, _, exp, log = self._exp_log or self._log_tables()
+        return exp[self.q - 1 - log[a]]
 
     def _pow_raw(self, a: int, e: int) -> int:
         if e == 0:
@@ -381,9 +295,8 @@ class FieldSpec:
             return 0
         if self.s == 1:
             return pow(a, e, self.p)
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        return self._pow_raw(a, e)
+        _, _, exp, log = self._exp_log or self._log_tables()
+        return exp[log[a] * e % (self.q - 1)]
 
     def trace(self, a: int) -> int:
         """Tr(a) = a + a^p + ... + a^{p^{s-1}}, as an integer in [0, p)."""
@@ -410,18 +323,6 @@ class FieldSpec:
                 codes //= self.p
             self._np_digits = digs
         return self._np_digits
-
-    def _np_log_tables(self):
-        """Exp and log arrays of an extension field (s > 1), exp[log a + log b]
-        = a b for all codes: log[0] = S = 2(q - 1), exp the powers twice, then
-        zeros up to index 2S."""
-        if self._np_exp is None:
-            if self._exp is None:
-                self._rebuild_tables_from_theta()
-            S = 2 * (self.q - 1)
-            self._np_log = np.array([S] + self._log[1:], dtype=np.int64)
-            self._np_exp = np.array(self._exp * 2 + [0] * (S + 1), dtype=np.int64)
-        return self._np_exp, self._np_log
 
     def _np_from_digits(self, digits) -> np.ndarray:
         """Codes of base-p digit arrays (last axis), each digit taken mod p."""
@@ -483,7 +384,7 @@ class FieldSpec:
         ys = np.asarray(ys, dtype=np.int64)
         if self.s == 1:
             return (xs * ys) % self.p
-        exp, log = self._np_log_tables()
+        exp, log, _, _ = self._log_tables()
         return exp[log[xs] + log[ys]]
 
     def np_pow(self, xs, e: int) -> np.ndarray:
@@ -492,10 +393,10 @@ class FieldSpec:
             return np.ones_like(xs)
         if self.s == 1:
             return self._np_pow_prime(xs, e)
-        exp, log = self._np_log_tables()
+        exp, log, _, _ = self._log_tables()
         out = np.zeros_like(xs)
         nz = xs != 0
-        out[nz] = exp[(log[xs[nz]] * e) % (self.q - 1)]
+        out[nz] = exp[log[xs[nz]] * (e % (self.q - 1)) % (self.q - 1)]
         return out
 
     def _np_pow_prime(self, xs, e):
@@ -550,6 +451,10 @@ def _make_field_cached(p: int, s: int, modulus: tuple[int, ...] | None) -> Field
 
 def make_field(p: int, s: int = 1, modulus=None) -> FieldSpec:
     """Build F_{p^s}; a deterministic modulus and theta are found if omitted."""
+    if isinstance(p, int) and p > FIELD_ORDER_CAP:
+        raise FieldTooLarge(f"p = {p} exceeds the {FIELD_ORDER_CAP} policy cap")
+    if isinstance(s, int) and s > FIELD_ORDER_CAP.bit_length():
+        raise FieldTooLarge(f"p^s with s = {s} exceeds the {FIELD_ORDER_CAP} policy cap")
     if not isinstance(p, int) or not is_prime(p):
         raise CompositeCharacteristic(f"{p} is not prime")
     if not isinstance(s, int) or s < 1:
@@ -565,17 +470,6 @@ def make_field(p: int, s: int = 1, modulus=None) -> FieldSpec:
         if not _is_irreducible(modulus, p):
             raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
     return _make_field_cached(p, s, modulus)
-
-
-def trace(field: FieldSpec, x) -> int:
-    """Trace map F_{p^s} -> F_p, returned as an integer in [0, p)."""
-    code = x.code if isinstance(x, FieldElement) else int(x)
-    return field.trace(code)
-
-
-def enumerate_elements(field: FieldSpec) -> list[FieldElement]:
-    """All p^s elements in the fixed enumeration order (ascending code)."""
-    return list(field.elements())
 
 
 def parse_descriptor(text: str) -> FieldSpec:

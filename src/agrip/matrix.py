@@ -59,6 +59,7 @@ from .errors import (
     ZeroCoherence,
 )
 from .exact import (
+    _LOG_BASES,
     SurdSum,
     as_exact,
     exact_decimal,
@@ -523,6 +524,10 @@ def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
     """The exact report from one scan: _gram_scan under pair_cap, or, when
     the caller has established that M is a function-space matrix (see
     _function_space_scan), the uncapped O(nnz) scan."""
+    if log_base not in _LOG_BASES:
+        raise PreconditionError(f"unknown log base {log_base!r}")
+    if omega_mode not in ("signed", "absolute"):
+        raise PreconditionError(f"unknown omega mode {omega_mode!r}")
     scan = (_function_space_scan(M) if function_space
             else _gram_scan(M, pair_cap))
     mu = _coherence_from(scan)

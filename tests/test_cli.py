@@ -51,6 +51,32 @@ def test_cap_exceeded_exits_3(tmp_path):
     assert code == 3
 
 
+_CONSTRUCT_EACH_FIELD = """
+import sys
+from agrip.cli import main
+print([main(["construct", "--family", "devore", "--field", field, "--r", "2",
+             "--out", sys.argv[1]]) for field in sys.argv[2:]])
+"""
+
+
+def test_oversized_fields_exit_3_before_any_work(tmp_path):
+    import os
+    import subprocess
+
+    import agrip
+
+    # in a child process with a timeout, so that a field whose primality
+    # test or order p^s runs before the cap check fails the test, not hangs it
+    src = os.path.dirname(os.path.dirname(agrip.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _CONSTRUCT_EACH_FIELD,
+                           str(tmp_path / "d.agrip"),
+                           "1000000000000000003", "3^30000000"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert done.stdout.splitlines()[-1] == "[3, 3]", done.stderr
+    assert not (tmp_path / "d.agrip").exists()
+
+
 def test_analyze_devore(tmp_path, capsys):
     out = tmp_path / "d.agrip"
     run_cli("construct", "--family", "devore", "--field", "3", "--r", "2",

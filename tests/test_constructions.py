@@ -118,6 +118,18 @@ def test_simple_poles_supports_infinity_pole():
     assert vals[0] == -1
 
 
+def test_points_are_integer_codes_or_strings():
+    f5 = make_field(5)
+    ref = construction_a_simple_poles(f5, [0, INFINITY], [1, 2, 3])
+    for poles in ([np.int64(0), "inf"], ["0", INFINITY]):
+        assert construction_a_simple_poles(f5, poles, [1, np.int8(2), "3"]) == ref
+    for bad in (2.7, 3.0, True, np.float64(2.0), None, "3.0"):
+        with pytest.raises(PreconditionError, match="neither a field code"):
+            construction_a_simple_poles(f5, [bad], [0, 1, 4])
+        with pytest.raises(PreconditionError, match="neither a field code"):
+            construction_a_single_point(f5, 2, [0, 1, bad])
+
+
 def test_single_point_instance():
     M = construction_a_single_point(make_field(5), 2, [0, 1, 2, 3, 4])
     assert (M.n, M.N) == (36, 125)

@@ -8,12 +8,10 @@ from agrip.errors import (
     ReducibleModulus,
 )
 from agrip.fields import (
-    enumerate_elements,
     extension_with_embedding,
     is_prime,
     make_field,
     parse_descriptor,
-    trace,
 )
 
 
@@ -39,9 +37,9 @@ def test_f5_theta_is_smallest_primitive_element():
 
 def test_f9_with_explicit_modulus_x2_plus_1():
     f = make_field(3, 2, [1, 0, 1])
-    x = f.element([0, 1])
-    assert x * x == f.element(2)  # x^2 = -1
-    assert x * x == 2
+    x = f.encode([0, 1])
+    assert f.mul(x, x) == f.neg(1) == 2  # x^2 = -1
+    assert f._mul_raw(x, x) == 2
 
 
 def test_composite_characteristic_rejected():
@@ -55,36 +53,72 @@ def test_reducible_modulus_rejected():
 
 
 def test_field_order_cap():
-    with pytest.raises(FieldTooLarge):
-        make_field(2, 21)
+    # p and s are compared with the cap first, so a composite p above it
+    # is refused as too large, not as composite
+    for p, s in [(2, 21), (2, 22), ((1 << 21) + 1, 1)]:
+        with pytest.raises(FieldTooLarge):
+            make_field(p, s)
 
 
 def test_arithmetic_examples():
     f9 = make_field(3, 2, [1, 0, 1])
-    x = f9.element([0, 1])
-    assert (x * x).code == 2
+    x = f9.encode([0, 1])
+    assert f9.mul(x, x) == 2
+    assert f9.inv(x) == f9.neg(x)  # x^-1 = -x because x^2 = -1
     f7 = make_field(7)
     assert f7.inv(3) == 5
-    a = f7.element(4)
-    assert a + f7.zero == a
+    assert f7.add(4, 0) == 4
     with pytest.raises(DivisionByZero):
         f7.inv(0)
+    with pytest.raises(DivisionByZero):
+        f9.inv(0)
 
 
 def test_trace_examples():
     for p, s in [(3, 2), (2, 3), (5, 2)]:
         f = make_field(p, s)
-        assert trace(f, f.one) == s % p
+        assert f.trace(1) == s % p
     f9 = make_field(3, 2, [1, 0, 1])
-    assert trace(f9, f9.element([0, 1])) == 0  # x + x^3 = x - x = 0
+    assert f9.trace(f9.encode([0, 1])) == 0  # x + x^3 = x - x = 0
     f5 = make_field(5)
-    assert trace(f5, f5.element(3)) == 3
+    assert f5.trace(3) == 3
 
 
-def test_enumeration_examples():
-    assert [e.code for e in enumerate_elements(make_field(2))] == [0, 1]
-    assert len({e.code for e in enumerate_elements(make_field(3, 2))}) == 9
-    assert [e.code for e in enumerate_elements(make_field(5))] == [0, 1, 2, 3, 4]
+def _check_log_tables(f, indices):
+    """exp[i + 1] = exp[i] theta by the polynomial product at the given
+    indices, log inverts exp, and the padding follows the documented layout."""
+    import numpy as np
+
+    n = f.q - 1
+    exp, log, _, _ = f._log_tables()
+    assert exp.shape == (4 * n + 1,) and log.shape == (f.q,)
+    assert exp[0] == 1
+    for i in indices:
+        assert exp[i + 1] == f._mul_raw(int(exp[i]), f.theta), (f.q, i)
+    assert (log[exp[:n]] == np.arange(n)).all()
+    assert log[0] == 2 * n
+    assert (exp[n:2 * n] == exp[:n]).all() and not exp[2 * n:].any()
+
+
+def test_log_tables_follow_theta_on_every_extension_field_up_to_2_10():
+    for f in all_fields_up_to(1 << 10):
+        if f.s > 1:
+            _check_log_tables(f, range(f.q - 1))
+
+
+# both are above 2^16; F_449^2 (q - 1 = 201 600) is the smallest p^2 whose
+# last doubling spans two digit blocks of 2^16 rows
+@pytest.mark.parametrize("p,s", [(2, 17), (449, 2)])
+def test_log_tables_follow_theta_above_2_16(p, s):
+    import numpy as np
+
+    f = make_field(p, s)
+    n = f.q - 1
+    # every doubling and block boundary, the wrap to theta^0, and a sample
+    edges = [i for k in range(n.bit_length()) for j in (1, 3)
+             for i in ((j << k) - 1, j << k) if i < n]
+    sample = np.random.default_rng(0).integers(0, n, 500).tolist()
+    _check_log_tables(f, sorted(set(edges + sample + [n - 1])))
 
 
 def test_lagrange_exhaustive_up_to_128():
@@ -144,20 +178,23 @@ def test_np_helpers_match_scalar_ops():
         mul = f.np_mul(xs, ys)
         for i in range(f.q):
             assert add[i] == f.add(int(xs[i]), int(ys[i]))
-            assert mul[i] == f.mul(int(xs[i]), int(ys[i]))
-        for e in [0, 1, 2, 5]:
+            assert mul[i] == f._mul_raw(int(xs[i]), int(ys[i]))
+        for e in [0, 1, 2, 5, 2 ** 64 + 3]:  # e past int64 is reduced first
             pw = f.np_pow(xs, e)
             for i in range(f.q):
-                assert pw[i] == f.pow(int(xs[i]), e)
+                assert pw[i] == f._pow_raw(int(xs[i]), e) == f.pow(int(xs[i]), e)
 
 
 def test_np_mul_matches_scalar_mul_on_every_pair_up_to_81():
     import numpy as np
 
     for f in all_fields_up_to(81):
+        # the polynomial product on extension fields, whose scalar mul reads
+        # the same table as np_mul; (a b) mod p on prime fields
+        mul = f._mul_raw if f.s > 1 else f.mul
         xs, ys = np.meshgrid(np.arange(f.q), np.arange(f.q), indexing="ij")
         assert f.np_mul(xs, ys).tolist() == [
-            [f.mul(x, y) for y in range(f.q)] for x in range(f.q)]
+            [mul(x, y) for y in range(f.q)] for x in range(f.q)]
 
 
 def test_np_mul_matches_scalar_mul_on_a_broadcast_block_of_f256():
@@ -168,7 +205,7 @@ def test_np_mul_matches_scalar_mul_on_a_broadcast_block_of_f256():
     xs, ys = rng.integers(0, f.q, (40, 1)), rng.integers(0, f.q, (1, 300))
     xs[:3], ys[0, :3] = 0, 0  # zero rows and columns
     assert f.np_mul(xs, ys).tolist() == [
-        [f.mul(int(x), int(y)) for y in ys[0]] for x in xs[:, 0]]
+        [f._mul_raw(int(x), int(y)) for y in ys[0]] for x in xs[:, 0]]
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])

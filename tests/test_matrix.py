@@ -150,6 +150,17 @@ def test_report_fields(tmp_path):
                                           "omega_mode"}
 
 
+@pytest.mark.parametrize("modes", [{"omega_mode": "bogus"},
+                                   {"log_base": "bogus"}])
+def test_report_refuses_unknown_modes_before_the_scan(modes, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the Gram scan ran before the modes were checked")
+
+    monkeypatch.setattr(agrip.matrix, "_gram_scan", no_scan)
+    with pytest.raises(PreconditionError, match="bogus"):
+        coherence_report(devore(make_field(3), 2), **modes)
+
+
 def test_binary_matrices_have_equal_omegas():
     for M in [devore(make_field(3), 2), devore(make_field(5), 2)]:
         assert (average_coherence(M, "signed")

@@ -12,7 +12,9 @@ general SurdSum.
 
 All three come from one exact symmetric pass over tiles of |G| (_gram_scan),
 float32 or float64 as n max|a|^2 allows: per squared-norm group, the absolute
-row sums and the largest |G_ij|; the signed row sums take one product per group.
+row sums and the largest |G_ij|; the signed row sums are two int64 passes
+over the entries for all groups at once (_signed_sums).  scipy is imported
+only by to_csc, which the sparse tiles of very sparse matrices use.
 The pairwise scan is capped (default 20000 columns); above the cap it
 refuses to run rather than blow up at O(N^2).
 
@@ -45,10 +47,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DegenerateShape,
@@ -68,6 +69,9 @@ from .exact import (
     floor_reciprocal,
     leq_reciprocal_log,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_PAIR_CAP = 20_000
 _GRAM_TILE = 512  # Gram tile edge; faster than 256 and 1024
@@ -189,8 +193,11 @@ class MeasurementMatrix:
         return int(sizes[0]) if np.all(sizes == sizes[0]) else None
 
     def to_csc(self) -> sp.csc_matrix:
-        """The matrix as scipy CSC, sharing this matrix's arrays."""
+        """The matrix as scipy CSC, sharing this matrix's arrays; scipy is
+        imported here, so only its callers load it."""
         if self._csc is None:
+            import scipy.sparse as sp
+
             # scipy's (data, indices, indptr) constructor would copy the
             # indices down to int32, so the arrays are attached afterwards
             A = sp.csc_matrix((self.n, self.N), dtype=np.int64)
@@ -226,6 +233,25 @@ def _densify(n, indptr, indices, data, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _gather_columns(M: MeasurementMatrix, cols: np.ndarray):
+    """CSC arrays (indptr, indices, data) of M's columns cols, in that order."""
+    sizes = M.indptr[cols + 1] - M.indptr[cols]
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    # entry k of output column c is entry k - indptr[c] of M's column cols[c]
+    entry = np.arange(indptr[-1]) + np.repeat(M.indptr[cols] - indptr[:-1], sizes)
+    return indptr, M.indices[entry], M.data[entry]
+
+
+def _transpose_products(M: MeasurementMatrix, X: np.ndarray) -> np.ndarray:
+    """(k, N) A^T x for each row x of the (k, n) int64 X: one gather and
+    one product per row, then one reduceat over the columns' entries.
+    Exact while every column's sum of |a x| stays below 2^63."""
+    products = np.empty((len(X), M.nnz), dtype=np.int64)
+    for x, out in zip(X, products):  # 1-D gathers beat one 2-D take
+        np.multiply(x[M.indices], M.data, out=out)
+    return np.add.reduceat(products, M.indptr[:-1], axis=-1)
+
+
 def _check_gram_input(M: MeasurementMatrix) -> int:
     """B = n max|a|^2, checked: N >= 2, B < 2^53 and N B < 2^63 (see _gram_scan)."""
     if M.N < 2:
@@ -237,13 +263,18 @@ def _check_gram_input(M: MeasurementMatrix) -> int:
     return bound
 
 
-def _signed_sums(A, group: np.ndarray, g: int, c: np.ndarray) -> np.ndarray:
-    """(N, g) sums of G_ij, j != i, over each norm group v: A^T (A e_v), e_v
-    its indicator, less c_i where group[i] = v; O(nnz g), exact in int64."""
-    S = np.empty((group.size, g), dtype=np.int64)
-    for v in range(g):
-        S[:, v] = A.T @ (A @ (e := group == v)) - c * e
-    return S
+def _signed_sums(M: MeasurementMatrix, group: np.ndarray, g: int) -> np.ndarray:
+    """(N, g) sums of G_ij, j != i, over each norm group v, in M's column
+    order: A^T (A E) less c_i at (i, group[i]), E the (N, g) indicator of
+    group; O(nnz g).  Every partial sum, of A E or of A^T (A E), is at most
+    N max|a|^2 <= N B < 2^63 in magnitude, so the int64 sums are exact.
+    """
+    sums = np.zeros((g, M.n), dtype=np.int64)  # (A E)^T, one pass for all g
+    np.add.at(sums.reshape(-1), np.repeat(group * M.n, np.diff(M.indptr))
+              + M.indices, M.data)
+    S = _transpose_products(M, sums)
+    S.reshape(-1)[group * M.N + np.arange(M.N)] -= M.sqnorms()
+    return S.T
 
 
 class _GramScan(NamedTuple):
@@ -264,17 +295,19 @@ def _gram_tile(n: int) -> int:
 def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
     """One exact pass over each column pair of G = A^T A, once.
 
-    The tiles carry |G| only; the signed sums are _signed_sums.  A task
-    takes a slab I of norm-sorted columns, one tile edge wide, and walks the
-    tiles |G_IJ|, J >= I.  As the norm groups are contiguous, an off-diagonal
-    tile adds I's per-group sums along axis 1, J's sums, grouped by I's norm
-    groups, along axis 0, and its maxima to pair_max, symmetrised at the
-    end; the diagonal tile, its diagonal zeroed, adds along axis 1 only.
-    Tiles are GEMMs of dense slabs when n N^2 < _DENSE_WORK_RATIO *
-    sum_k r_k^2, the sparse product's work (r_k nonzeros in row k), else
-    scipy int64 products.  By Cauchy-Schwarz every partial sum in a tile is
-    an integer of size at most B = n max|a|^2 < 2^53, so float64 slabs are
-    exact, and float32 ones, used when B < 2^24; sums stay under N B < 2^63.
+    The tiles carry |G| only; the signed sums are _signed_sums, taken in
+    M's column order and then permuted.  A task takes a slab I of
+    norm-sorted columns, one tile edge wide, and walks the tiles |G_IJ|,
+    J >= I.  As the norm groups are contiguous, an off-diagonal tile adds
+    I's per-group sums along axis 1, J's sums, grouped by I's norm groups,
+    along axis 0, and its maxima to pair_max, symmetrised at the end; the
+    diagonal tile, its diagonal zeroed, adds along axis 1 only.  Tiles are
+    GEMMs of dense slabs of the norm-sorted columns, gathered once, when
+    n N^2 < _DENSE_WORK_RATIO * sum_k r_k^2, the sparse product's work (r_k
+    nonzeros in row k), else scipy int64 products of the permuted to_csc().
+    By Cauchy-Schwarz every partial sum in a tile is an integer of size at
+    most B = n max|a|^2 < 2^53, so float64 slabs are exact, and float32
+    ones, used when B < 2^24; sums stay under N B < 2^63.
     """
     bound = _check_gram_input(M)
     if M.N > pair_cap:
@@ -284,15 +317,21 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
             "matrices are reported without the pairwise scan)")
     order = np.argsort(M.sqnorms(), kind="stable")
     c = M.sqnorms()[order]
-    values, group = np.unique(c, return_inverse=True)
-    A = M.to_csc()[:, order]
+    values, column_group = np.unique(M.sqnorms(), return_inverse=True)
+    group = column_group[order]
     N, g, edge = M.N, values.size, _gram_tile(M.n)
     dense = M.n * N * N < _DENSE_WORK_RATIO * int(np.sum(np.bincount(M.indices) ** 2))
     dtype = np.float32 if bound < 1 << 24 else np.float64
+    if dense:
+        indptr, indices, data = _gather_columns(M, order)
 
-    slab = ((lambda j0, j1: _densify(M.n, A.indptr[j0:j1 + 1], A.indices,
-                                     A.data, dtype)) if dense
-            else (lambda j0, j1: A[:, j0:j1]))
+        def slab(j0, j1):
+            return _densify(M.n, indptr[j0:j1 + 1], indices, data, dtype)
+    else:
+        A = M.to_csc()[:, order]
+
+        def slab(j0, j1):
+            return A[:, j0:j1]
 
     def segments(j0, j1):  # offsets of the norm groups in j0..j1, their range
         heads = np.flatnonzero(np.diff(group[j0:j1], prepend=-1))
@@ -326,8 +365,8 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
             absolute[i0:i1] += rows[0]
             absolute[i1:, segments(i0, i1)[1]] += cols[:, i1 - i0:].T
             np.maximum.at(pair_max, group[i0:i1], rows[1])
-    return _GramScan(values, c, _signed_sums(A, group, g, c), absolute,
-                     np.maximum(pair_max, pair_max.T))
+    return _GramScan(values, c, _signed_sums(M, column_group, g)[order],
+                     absolute, np.maximum(pair_max, pair_max.T))
 
 
 def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
@@ -342,10 +381,10 @@ def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
     """
     _check_gram_input(M)
     c = M.sqnorms()
-    A = M.to_csc()
-    row0 = np.abs(A.T @ _densify(M.n, M.indptr[:2], M.indices, M.data)[:, 0])
+    column0 = _densify(M.n, M.indptr[:2], M.indices, M.data).T
+    row0 = np.abs(_transpose_products(M, column0)[0])
     row0[0] = 0
-    return _GramScan(c[:1], c, _signed_sums(A, np.zeros(M.N, np.int64), 1, c),
+    return _GramScan(c[:1], c, _signed_sums(M, np.zeros(M.N, np.int64), 1),
                      np.full((M.N, 1), row0.sum()),
                      row0.max(keepdims=True)[:, None])
 

@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PreconditionError
 from .matrix import MeasurementMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 AMPLITUDE_MODEL = "signs +-1 uniform, magnitudes uniform in [1, 2]"
 _EXACT_REFIT_MAX = 4
@@ -84,8 +87,11 @@ def normalized_operator(M: MeasurementMatrix) -> sp.csc_matrix:
     `data * (1 / norm_j)`.  The order is the summation order of every
     correlation `phi.T @ r`, so it fixes the last bits of `recovery.json`;
     it is the order that `A @ sp.diags(1 / norms)` gave when phi was built
-    that way, and it is kept so that reports stay byte-identical.
+    that way, and it is kept so that reports stay byte-identical.  scipy is
+    imported here, so only recovery loads it.
     """
+    import scipy.sparse as sp
+
     col = np.repeat(np.arange(M.N), np.diff(M.indptr))
     # entry p of column j comes from entry start_j + end_j - 1 - p of M
     source = (M.indptr[:-1] + M.indptr[1:] - 1)[col] - np.arange(len(col))

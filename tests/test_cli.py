@@ -77,6 +77,73 @@ def test_oversized_fields_exit_3_before_any_work(tmp_path):
     assert not (tmp_path / "d.agrip").exists()
 
 
+_SCIPY_FREE_RUN = """
+import json, sys
+import agrip
+import agrip.cli
+import agrip.matrix as mx
+
+paths = set()  # the Gram paths a step takes: dense tiles or function space
+for name in ("_gather_columns", "_function_space_scan"):
+    real = getattr(mx, name)
+    setattr(mx, name, lambda *args, real=real, name=name:
+            paths.add(name) or real(*args))
+out, steps = sys.argv[1], [("import", "scipy.sparse" in sys.modules)]
+
+
+def run(*argv):
+    paths.clear()
+    code = agrip.cli.main([a.replace("@", out + "/") for a in argv])
+    steps.append((argv[0], code, "scipy.sparse" in sys.modules, sorted(paths)))
+
+
+run("construct", "--family", "devore", "--field", "7", "--r", "2",
+    "--out", "@d.agrip")
+run("sign", "--scheme", "balanced", "--in", "@d.agrip", "--design",
+    "@d.agrip.json", "--out", "@b.agrip")
+run("verify", "--check", "coherence", "--in", "@d.agrip")
+run("analyze", "--in", "@b.agrip", "--out", "@b.json")
+run("construct", "--family", "devore", "--field", "2^4", "--r", "3",
+    "--out", "@e.agrip")
+run("sign", "--scheme", "random:0", "--in", "@e.agrip", "--design",
+    "@e.agrip.json", "--out", "@r.agrip")
+run("analyze", "--in", "@r.agrip", "--out", "@r.json")
+run("recover", "--matrix", "@d.agrip", "--k", "1..2", "--trials", "20",
+    "--seed", "5", "--out", "@rec.json")
+print(json.dumps(steps))
+"""
+
+
+def test_only_recovery_imports_scipy(tmp_path):
+    """In one fresh process, importing agrip and running construct, sign,
+    verify and analyze (a function-space and a dense-tile input) leave
+    scipy.sparse unloaded; recover loads it."""
+    import os
+    import subprocess
+
+    import agrip
+
+    src = os.path.dirname(os.path.dirname(agrip.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        ["import", False],
+        ["construct", 0, False, []],
+        ["sign", 0, False, []],
+        ["verify", 0, False, ["_gather_columns"]],  # dense tiles
+        ["analyze", 0, False, ["_function_space_scan"]],
+        ["construct", 0, False, []],
+        ["sign", 0, False, []],
+        ["analyze", 0, False, ["_gather_columns"]],  # dense tiles
+        ["recover", 0, True, []],
+    ]
+    report = json.loads((tmp_path / "rec.json").read_text())
+    assert report["support_recovery_rate"] == {"1": 1.0, "2": 1.0}
+
+
 def test_analyze_devore(tmp_path, capsys):
     out = tmp_path / "d.agrip"
     run_cli("construct", "--family", "devore", "--field", "3", "--r", "2",

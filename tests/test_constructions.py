@@ -23,6 +23,7 @@ from agrip.constructions import (
     construction_a_simple_poles,
     construction_a_single_point,
     devore,
+    evaluate_coefficient_block,
     evaluation_matrix,
     fermat_hyperplane_matrix,
     fermat_surface_points,
@@ -569,6 +570,27 @@ def test_evaluation_matrix_zero_column():
     # f = 0 hits value 0 at every point: rows are point_index * q
     assert np.array_equal(rows, np.arange(9) * 3)
     assert np.all(vals == 1)
+
+
+@pytest.mark.parametrize("T", [8192, 8193])
+def test_prime_field_blocks_are_exact_on_each_side_of_the_float_bound(T):
+    """p = 2^20 - 3, so T (p - 1)^2 < 2^53 exactly when T <= 8192: T = 8192
+    takes the float64 product at its largest partial sums, T = 8193 the
+    int64 one, where an odd dot product above 2^53 has no float64 spelling."""
+    field = make_field(1048573)
+    p = field.p
+    assert (T * (p - 1) ** 2 < 1 << 53) == (T == 8192)
+    rng = np.random.default_rng(T)
+    coeffs, table = rng.integers(0, p, (3, T)), rng.integers(0, p, (T, 4))
+    coeffs[0], table[:, 0] = p - 1, p - 1  # the largest partial sums
+    coeffs[1], table[:, 1] = p - 2, p - 2  # odd terms ...
+    coeffs[1, 0] = T % 2 * (p - 2)  # ... an odd count of them: an odd sum
+    dots = [[sum(int(c) * int(t) for c, t in zip(row, col)) for col in table.T]
+            for row in coeffs]
+    got = evaluate_coefficient_block(field, table, coeffs)
+    assert got.tolist() == [[v % p for v in row] for row in dots]
+    odd = dots[1][1]
+    assert odd % 2 == 1 and (int(float(odd)) == odd) == (T == 8192)
 
 
 def test_evaluation_matrix_caps(monkeypatch):

@@ -632,6 +632,33 @@ def test_dense_tiles_stay_exact_above_float32_integers(monkeypatch):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("ratio", [0, 10 ** 30], ids=["sparse-tiles",
+                                                      "dense-tiles"])
+def test_signed_sums_stay_exact_above_float64_integers(ratio, monkeypatch):
+    """B = 2 a^2 < 2^53 for a = 2^26 - 1.  Each norm group has three columns,
+    so row 0 of A E is 3a and each of its products with a is 3 a^2, and a
+    column's sum over the other group adds three G_ij = a^2 +- 8: all odd
+    and near 3 * 2^52, with no float64 spelling."""
+    a = (1 << 26) - 1
+    arr = np.array([[a] * 6, [2, -2, 2, 4, -4, 4]])
+    M = dense_to_matrix(arr)
+    cols = [[int(x) for x in arr[:, j]] for j in range(6)]
+    G = [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+    groups = [range(3), range(3, 6)]  # squared norms a^2 + 4 < a^2 + 16
+    want = [[sum(G[i][j] for j in group if j != i) for group in groups]
+            for i in range(6)]
+    assert all(row[1 - i // 3] % 2 and row[1 - i // 3] > 1 << 53
+               for i, row in enumerate(want))
+    monkeypatch.setattr(agrip.matrix, "_DENSE_WORK_RATIO", ratio)
+    scan = _gram_scan(M, DEFAULT_PAIR_CAP)
+    assert scan.signed.tolist() == want
+    assert scan.absolute.tolist() == [
+        [sum(abs(G[i][j]) for j in group if j != i) for group in groups]
+        for i in range(6)]
+    assert _function_space_scan(M).signed[:, 0].tolist() == [sum(row)
+                                                             for row in want]
+
+
 def test_default_gram_block_stays_under_the_byte_budget():
     budget = 64 * 2 ** 20
     for n in (1, 13, 1100, 16_384, 16_385, 50_653, 10 ** 7, 10 ** 9):

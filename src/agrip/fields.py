@@ -15,9 +15,8 @@ Reproducibility conventions:
 * two fields are equal when p, s and the modulus agree.
 
 An extension field multiplies through one (exp, log) pair of numpy arrays,
-built on first use by repeated doubling of the known powers of theta, and
-adds by XOR of codes (p = 2) or, for odd p and q <= 2^10, through one q x q
-table; the scalar and the array operations read the same tables.
+built on first use by repeated doubling of the known powers of theta; the
+scalar and the array operations read the same pair.
 
 Field orders are capped at 2**20 by policy.  make_field compares p and s
 with the cap before any other work, so an oversized descriptor is refused
@@ -240,8 +239,6 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b  # base-2 digit vectors, added digit-wise mod 2
-        if self.q <= _NP_TABLE_CAP:
-            return self._np_add_tables()[0].item(a, b)
         out, mult = 0, 1
         for _ in range(self.s):
             out += ((a + b) % self.p) * mult
@@ -255,8 +252,6 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a
-        if self.q <= _NP_TABLE_CAP:
-            return self._np_add_tables()[1].item(a)
         out, mult = 0, 1
         for _ in range(self.s):
             out += ((-a) % self.p) * mult

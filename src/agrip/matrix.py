@@ -12,9 +12,9 @@ general SurdSum.
 
 All three come from one exact symmetric pass over tiles of |G| (_gram_scan),
 float32 or float64 as n max|a|^2 allows: per squared-norm group, the absolute
-row sums and the largest |G_ij|; the signed row sums are two int64 passes
-over the entries for all groups at once (_signed_sums).  scipy is imported
-only by to_csc, which the sparse tiles of very sparse matrices use.
+row sums and the largest |G_ij|; the signed row sums are int64 passes over
+the entries (_signed_sums).  scipy is imported only by to_csc, which the
+sparse tiles of very sparse matrices use.
 The pairwise scan is capped (default 20000 columns); above the cap it
 refuses to run rather than blow up at O(N^2).
 
@@ -243,13 +243,14 @@ def _gather_columns(M: MeasurementMatrix, cols: np.ndarray):
 
 
 def _transpose_products(M: MeasurementMatrix, X: np.ndarray) -> np.ndarray:
-    """(k, N) A^T x for each row x of the (k, n) int64 X: one gather and
-    one product per row, then one reduceat over the columns' entries.
-    Exact while every column's sum of |a x| stays below 2^63."""
-    products = np.empty((len(X), M.nnz), dtype=np.int64)
-    for x, out in zip(X, products):  # 1-D gathers beat one 2-D take
-        np.multiply(x[M.indices], M.data, out=out)
-    return np.add.reduceat(products, M.indptr[:-1], axis=-1)
+    """(k, N) A^T x for each row x of the (k, n) int64 X, one row at a time
+    (a gather, a product and a reduceat over the columns' entries), so the
+    scratch is O(nnz) whatever k is.  Exact while every column's sum of
+    |a x| stays below 2^63."""
+    out = np.empty((len(X), M.N), dtype=np.int64)
+    for x, row in zip(X, out):  # 1-D gathers beat one 2-D take
+        np.add.reduceat(x[M.indices] * M.data, M.indptr[:-1], out=row)
+    return out
 
 
 def _check_gram_input(M: MeasurementMatrix) -> int:
@@ -266,13 +267,26 @@ def _check_gram_input(M: MeasurementMatrix) -> int:
 def _signed_sums(M: MeasurementMatrix, group: np.ndarray, g: int) -> np.ndarray:
     """(N, g) sums of G_ij, j != i, over each norm group v, in M's column
     order: A^T (A E) less c_i at (i, group[i]), E the (N, g) indicator of
-    group; O(nnz g).  Every partial sum, of A E or of A^T (A E), is at most
-    N max|a|^2 <= N B < 2^63 in magnitude, so the int64 sums are exact.
+    group; O(nnz g).  (A E)^T is taken in one np.add.at pass over the
+    entries for as many groups as fit _GRAM_BLOCK_ENTRIES (all of them
+    unless g n is large), so beyond O(nnz) the scratch is at most
+    max(n, _GRAM_BLOCK_ENTRIES) entries.
+    Every partial sum, of A E or of A^T (A E), is at most N max|a|^2 <= N B
+    < 2^63 in magnitude, so the int64 sums are exact.
     """
-    sums = np.zeros((g, M.n), dtype=np.int64)  # (A E)^T, one pass for all g
-    np.add.at(sums.reshape(-1), np.repeat(group * M.n, np.diff(M.indptr))
-              + M.indices, M.data)
-    S = _transpose_products(M, sums)
+    S = np.empty((g, M.N), dtype=np.int64)
+    # a_ij adds to entry i of row group[j] of (A E)^T, flattened
+    slot = np.repeat(group * M.n, np.diff(M.indptr)) + M.indices
+    step = max(1, _GRAM_BLOCK_ENTRIES // M.n)
+    for v0 in range(0, g, step):
+        v1 = min(v0 + step, g)
+        sums = np.zeros((v1 - v0) * M.n, dtype=np.int64)  # rows v0..v1
+        if v1 - v0 == g:
+            np.add.at(sums, slot, M.data)
+        else:
+            mine = (slot >= v0 * M.n) & (slot < v1 * M.n)
+            np.add.at(sums, slot[mine] - v0 * M.n, M.data[mine])
+        S[v0:v1] = _transpose_products(M, sums.reshape(v1 - v0, M.n))
     S.reshape(-1)[group * M.N + np.arange(M.N)] -= M.sqnorms()
     return S.T
 
@@ -376,15 +390,19 @@ def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
     not checked.  Column 0 is the zero function, and every |row f| of G is
     a permutation of |row 0| that fixes the diagonal (see the module
     docstring), so pair_max is max_g |G_0g| and every absolute row sum is
-    sum_g |G_0g|, g != 0.  The signed row sums are _signed_sums with one
-    group, A^T (A 1) less the diagonal c, as for any matrix.
+    sum_g |G_0g|, g != 0.  The signed row sums are A^T (A 1) less the
+    diagonal c, as for any matrix (_signed_sums with one group); Gram row 0
+    is A^T of column 0, so one _transpose_products call takes both.
     """
     _check_gram_input(M)
     c = M.sqnorms()
-    column0 = _densify(M.n, M.indptr[:2], M.indices, M.data).T
-    row0 = np.abs(_transpose_products(M, column0)[0])
+    X = np.zeros((2, M.n), dtype=np.int64)  # column 0 and A 1, exact in int64
+    X[0] = _densify(M.n, M.indptr[:2], M.indices, M.data)[:, 0]
+    np.add.at(X[1], M.indices, M.data)
+    row0, signed = _transpose_products(M, X)
+    row0 = np.abs(row0)
     row0[0] = 0
-    return _GramScan(c[:1], c, _signed_sums(M, np.zeros(M.N, np.int64), 1),
+    return _GramScan(c[:1], c, (signed - c)[:, None],
                      np.full((M.N, 1), row0.sum()),
                      row0.max(keepdims=True)[:, None])
 

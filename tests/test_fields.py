@@ -253,13 +253,11 @@ def test_np_add_and_neg_match_digitwise_arithmetic(f, data):
     assert f.np_add(xs[:, None], ys).shape == (xs.size, ys.size)
 
 
-@pytest.mark.parametrize("p,s", [(2, 2), (2, 4), (3, 2), (5, 2), (3, 3),
-                                 (3, 7)])
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 4), (3, 2), (5, 2), (3, 3)])
 def test_scalar_add_and_neg_match_digitwise_arithmetic(p, s):
-    """XOR for p = 2, the q x q table for odd p and q <= 2^10, digits above
-    (F_3^7: a sample of pairs); every pair on the small fields."""
+    """XOR for p = 2, the digit loop for odd p; every pair."""
     f = make_field(p, s)
-    codes = range(f.q) if f.q < 100 else range(0, f.q, 97)
+    codes = range(f.q)
 
     def digitwise(a, b):
         return f.encode([(x + y) % p for x, y in zip(f.decode(a), f.decode(b))])

@@ -659,6 +659,32 @@ def test_signed_sums_stay_exact_above_float64_integers(ratio, monkeypatch):
                                                              for row in want]
 
 
+@pytest.mark.parametrize("budget", [13, 5], ids=["two-groups", "one-group"])
+@pytest.mark.parametrize("ratio", [0, 10 ** 30], ids=["sparse-tiles",
+                                                      "dense-tiles"])
+def test_signed_sums_of_many_norm_groups_keep_to_the_block_budget(
+        ratio, budget, monkeypatch):
+    """With _GRAM_BLOCK_ENTRIES cut to 13 (5) entries, the n = 6 rows of
+    A E are taken for two groups at a time (one, as 5 < n); every chunk
+    must still give the dense Gram matrix's sums."""
+    rng = np.random.default_rng(7)
+    arr = rng.integers(-4, 5, (6, 40))
+    arr[0, ~arr.any(axis=0)] = 1  # no zero column
+    g = np.unique((arr * arr).sum(axis=0)).size
+    assert g >= 20
+    chunks = []
+    real = agrip.matrix._transpose_products
+    monkeypatch.setattr(agrip.matrix, "_transpose_products",
+                        lambda M, X: chunks.append(len(X)) or real(M, X))
+    monkeypatch.setattr(agrip.matrix, "_DENSE_WORK_RATIO", ratio)
+    monkeypatch.setattr(agrip.matrix, "_GRAM_BLOCK_ENTRIES", budget)
+    scan = _gram_scan(dense_to_matrix(arr), DEFAULT_PAIR_CAP)
+    step = max(1, budget // 6)
+    assert chunks == [step] * (g // step) + [g % step] * (g % step > 0)
+    for got, want in zip(scan, _gram_scan_by_definition(arr)):
+        assert np.array_equal(got, want)
+
+
 def test_default_gram_block_stays_under_the_byte_budget():
     budget = 64 * 2 ** 20
     for n in (1, 13, 1100, 16_384, 16_385, 50_653, 10 ** 7, 10 ** 9):

@@ -90,18 +90,34 @@ def _manifest_for(path) -> str:
     return str(path) + ".manifest.json"
 
 
-def _load_sidecar(path) -> dict:
+def _load_json_object(path, what) -> dict:
+    """The JSON object in the file path; PreconditionError if it is not one."""
     with open(path) as fh:
-        sidecar = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise PreconditionError(f"{what} {path} is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"{what} {path} is not a JSON object")
+    return obj
+
+
+def _load_sidecar(path) -> dict:
+    sidecar = _load_json_object(path, "sidecar")
     _check_keys(sidecar, _SIDECAR_KEYS, f"sidecar {path}")
     return sidecar
 
 
 def _sidecar_design(sidecar):
     """The evaluation design a sidecar (or matrix metadata) names."""
-    return cons.build_design(sidecar["family"],
-                             parse_descriptor(sidecar["field"]),
-                             sidecar["params"])
+    try:
+        return cons.build_design(sidecar["family"],
+                                 parse_descriptor(sidecar["field"]),
+                                 sidecar["params"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        named = {k: sidecar.get(k) for k in ("family", "field", "params")}
+        raise PreconditionError(f"sidecar {named} does not name a design "
+                                f"({type(exc).__name__}: {exc})") from None
 
 
 # -- construct ----------------------------------------------------------------
@@ -431,8 +447,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
+    manifest = _load_json_object(args.manifest, "manifest")
     _check_keys(manifest, _MANIFEST_KEYS, f"manifest {args.manifest}")
     sub = manifest["subcommand"]
     stored = dict(manifest["arguments"])
@@ -591,7 +606,7 @@ def main(argv=None) -> int:
     except AgripError as exc:
         print(f"agrip: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"agrip: error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,14 +154,7 @@ class SurdSum:
 
     def squared(self) -> Fraction | "SurdSum":
         """Exact square; a Fraction when the square is rational."""
-        sq = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in self._terms.items():
-                s = SurdSum({r1 * r2: c1 * c2})
-                for r, c in s._terms.items():
-                    sq[r] = sq.get(r, Fraction(0)) + c
-        out = SurdSum(sq)
-        return out.as_fraction() if out.is_rational else out
+        return as_exact(self * self)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -271,12 +264,6 @@ def as_exact(value) -> Fraction | SurdSum:
     return Fraction(value)
 
 
-def exact_float(value) -> float:
-    if isinstance(value, SurdSum):
-        return float(value)
-    return float(Fraction(value))
-
-
 def exact_decimal(value) -> str:
     """value to _DECIMAL_DIGITS significant digits."""
     ctx = _context(MPContext, _DECIMAL_DIGITS + 10)
@@ -333,9 +320,4 @@ def leq_reciprocal_log(value, n: int, base: str = "natural") -> bool:
 
 def exact_leq(a, b) -> bool:
     """a <= b for mixed Fraction / SurdSum operands, exact."""
-    ea, eb = as_exact(a), as_exact(b)
-    if isinstance(ea, SurdSum):
-        return ea <= eb
-    if isinstance(eb, SurdSum):
-        return eb >= ea
-    return ea <= eb
+    return as_exact(a) <= as_exact(b)

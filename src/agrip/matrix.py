@@ -13,8 +13,8 @@ general SurdSum.
 All three come from one exact symmetric pass over tiles of |G| (_gram_scan),
 float32 or float64 as n max|a|^2 allows: per squared-norm group, the absolute
 row sums and the largest |G_ij|; the signed row sums are int64 passes over
-the entries (_signed_sums).  scipy is imported only by to_csc, which the
-sparse tiles of very sparse matrices use.
+the entries (_signed_sums).  scipy is imported only in _gram_scan's
+sparse-tile branch, which very sparse matrices take.
 The pairwise scan is capped (default 20000 columns); above the cap it
 refuses to run rather than blow up at O(N^2).
 
@@ -36,9 +36,9 @@ On-disk format AGRIP-SPARSE, bit-exact:
     0-based indices, decimal integers, "\\n" line endings.
 write_sparse gathers the lines from NUL-padded byte tables of every column,
 row and distinct value, so no entry becomes a Python int.  read_sparse reads
-line by line and raises FormatError at the first bad line; it also accepts
-any spelling that Python's int() and line splitting accept, such as "+1",
-"01", "1_0" or "\\r\\n" endings.
+line by line and raises FormatError at the first bad line, a byte that is
+not UTF-8 included; it also accepts any spelling that Python's int() and
+line splitting accept, such as "+1", "01", "1_0" or "\\r\\n" endings.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,9 +69,6 @@ from .exact import (
     floor_reciprocal,
     leq_reciprocal_log,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_PAIR_CAP = 20_000
 _GRAM_TILE = 512  # Gram tile edge; faster than 256 and 1024
@@ -99,13 +96,12 @@ class MeasurementMatrix:
 
     Column j has the strictly increasing rows indices[indptr[j]:indptr[j+1]]
     and the nonzero values data[indptr[j]:indptr[j+1]]; no column is empty.
-    The arrays are read-only, so matrices and to_csc() may share them.  The
-    constructor concatenates a list of (rows, values) columns; from_csc
-    takes the three arrays without a copy and marks them read-only.
+    The arrays are read-only, so matrices may share them.  The constructor
+    concatenates a list of (rows, values) columns; from_csc takes the three
+    arrays without a copy and marks them read-only.
     """
 
-    __slots__ = ("n", "N", "indptr", "indices", "data", "meta", "_csc",
-                 "_sqnorms")
+    __slots__ = ("n", "N", "indptr", "indices", "data", "meta", "_sqnorms")
 
     def __init__(self, n: int, N: int, columns, meta=None):
         cols = [(np.asarray(r, dtype=np.int64), np.asarray(v, dtype=np.int64))
@@ -130,9 +126,9 @@ class MeasurementMatrix:
         self.indptr, self.indices, self.data = (
             np.asarray(a, dtype=np.int64) for a in (indptr, indices, data))
         for a in (self.indptr, self.indices, self.data):
-            a.setflags(write=False)  # shared with to_csc() and other matrices
+            a.setflags(write=False)  # shared with other matrices
         self.meta = dict(meta or {})
-        self._csc = self._sqnorms = None
+        self._sqnorms = None
         if validate:
             self._validate()
 
@@ -191,19 +187,6 @@ class MeasurementMatrix:
         """Common nonzero count per column, or None if it varies."""
         sizes = np.diff(self.indptr)
         return int(sizes[0]) if np.all(sizes == sizes[0]) else None
-
-    def to_csc(self) -> sp.csc_matrix:
-        """The matrix as scipy CSC, sharing this matrix's arrays; scipy is
-        imported here, so only its callers load it."""
-        if self._csc is None:
-            import scipy.sparse as sp
-
-            # scipy's (data, indices, indptr) constructor would copy the
-            # indices down to int32, so the arrays are attached afterwards
-            A = sp.csc_matrix((self.n, self.N), dtype=np.int64)
-            A.data, A.indices, A.indptr = self.data, self.indices, self.indptr
-            self._csc = A
-        return self._csc
 
     def to_dense(self) -> np.ndarray:
         return _densify(self.n, self.indptr, self.indices, self.data)
@@ -318,7 +301,7 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
     diagonal tile, its diagonal zeroed, adds along axis 1 only.  Tiles are
     GEMMs of dense slabs of the norm-sorted columns, gathered once, when
     n N^2 < _DENSE_WORK_RATIO * sum_k r_k^2, the sparse product's work (r_k
-    nonzeros in row k), else scipy int64 products of the permuted to_csc().
+    nonzeros in row k), else scipy int64 products of M's columns, permuted.
     By Cauchy-Schwarz every partial sum in a tile is an integer of size at
     most B = n max|a|^2 < 2^53, so float64 slabs are exact, and float32
     ones, used when B < 2^24; sums stay under N B < 2^63.
@@ -342,7 +325,13 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
         def slab(j0, j1):
             return _densify(M.n, indptr[j0:j1 + 1], indices, data, dtype)
     else:
-        A = M.to_csc()[:, order]
+        import scipy.sparse as sp
+
+        # scipy's (data, indices, indptr) constructor would copy the
+        # indices down to int32, so M's arrays are attached afterwards
+        A = sp.csc_matrix((M.n, N), dtype=np.int64)
+        A.data, A.indices, A.indptr = M.data, M.indices, M.indptr
+        A = A[:, order]
 
         def slab(j0, j1):
             return A[:, j0:j1]
@@ -640,7 +629,8 @@ def write_sparse(M: MeasurementMatrix, path) -> None:
 
 
 def read_sparse(path, meta=None) -> MeasurementMatrix:
-    with open(path, "r", newline="") as fh:
+    # a byte that is not UTF-8 decodes to a surrogate, which fails its line
+    with open(path, "r", newline="", errors="surrogateescape") as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 5 or parts[0] != FORMAT_NAME:
@@ -658,9 +648,8 @@ def read_sparse(path, meta=None) -> MeasurementMatrix:
             raise FormatError(
                 f"header {header.strip()!r} does not fit a {data_bytes}-byte "
                 "body of nonempty columns", line=1)
-        cols: list[tuple[list, list]] = [([], []) for _ in range(N)]
+        cols, rows, vals = [], [], []
         last = (-1, -1)
-        count = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 raise FormatError("blank line inside data", line=lineno)
@@ -680,13 +669,16 @@ def read_sparse(path, meta=None) -> MeasurementMatrix:
             if (col, row) <= last:
                 raise FormatError("entries not sorted by (col, row)", line=lineno)
             last = (col, row)
-            cols[col][0].append(row)
-            cols[col][1].append(val)
-            count += 1
+            cols.append(col)
+            rows.append(row)
+            vals.append(val)
+        count = len(cols)
         if count != nnz:
             raise FormatError(f"header promises {nnz} entries, found {count}",
                               line=count + 1)
-        for j, (rows, _) in enumerate(cols):
-            if not rows:
-                raise FormatError(f"column {j} has no entries", line=count + 1)
-    return MeasurementMatrix(n, N, cols, meta=meta)
+        sizes = np.bincount(cols, minlength=N)
+        if not sizes.all():
+            raise FormatError(f"column {int(np.argmin(sizes))} has no entries",
+                              line=count + 1)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    return MeasurementMatrix.from_csc(n, N, indptr, rows, vals, meta=meta)

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     SingleColumn,
 )
-from .exact import exact_float, exact_ratio_sqrt
+from .exact import exact_ratio_sqrt
 from .fields import FieldSpec
 from .matrix import MeasurementMatrix
 
@@ -76,7 +76,7 @@ class OracleResult:
                 return {"num": v.numerator, "den": v.denominator}
             if isinstance(v, (int, float, bool, str)):
                 return v
-            return {"decimal": exact_float(v)}
+            return {"decimal": float(v)}
         return {"quantity": self.quantity, "instance": self.instance,
                 "oracle_value": render(self.oracle_value),
                 "fast_value": render(self.fast_value),

@@ -176,6 +176,46 @@ def test_analyze_truncated_file_exits_2(tmp_path, capsys):
     assert "line" in err
 
 
+def _devore_files(tmp_path):
+    out = tmp_path / "m.agrip"
+    assert run_cli("construct", "--family", "devore", "--field", "3", "--r",
+                   "2", "--out", str(out)) == 0
+    return out, tmp_path / "m.agrip.json"
+
+
+def _truncated_sidecar(tmp_path):
+    out, sidecar = _devore_files(tmp_path)
+    sidecar.write_text(sidecar.read_text()[:40])
+    return ["analyze", "--in", str(out)]
+
+
+def _sidecar_without_r(tmp_path):
+    _, sidecar = _devore_files(tmp_path)
+    doc = json.loads(sidecar.read_text())
+    del doc["params"]["r"]
+    sidecar.write_text(json.dumps(doc))
+    return ["verify", "--check", "diff-trick", "--design", str(sidecar)]
+
+
+def _manifest_not_json(tmp_path):
+    manifest = tmp_path / "x.manifest.json"
+    manifest.write_text("not json\n")
+    return ["replay", "--manifest", str(manifest)]
+
+
+@pytest.mark.parametrize("setup", [
+    _truncated_sidecar, _sidecar_without_r, _manifest_not_json,
+    lambda tmp_path: ["analyze", "--in", str(tmp_path)],
+], ids=["truncated-sidecar", "sidecar-without-r", "manifest-not-json",
+        "directory"])
+def test_malformed_json_and_unusable_paths_exit_2(tmp_path, capsys, setup):
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("agrip: error: "), err
+
+
 @pytest.mark.parametrize("value,message", [
     (1 << 32, "overflows the exact int64 Gram scan"),
     (-(1 << 63), "overflows the exact int64 Gram scan"),

@@ -374,6 +374,30 @@ def test_read_sparse_accepts_non_canonical_spellings(tmp_path):
         assert again.read_bytes() == canonical.read_bytes(), name
 
 
+_SMALL_FILE = b"AGRIP-SPARSE 1 3 3 4\n0 0 1\n0 2 -1\n1 1 1\n2 0 12\n"
+
+
+@pytest.mark.parametrize("at,line", [
+    (_SMALL_FILE.index(b"SPARSE"), 1),   # a header byte
+    (_SMALL_FILE.index(b"2 -1"), 3),     # a row index
+    (_SMALL_FILE.index(b"12\n"), 5),     # a value
+], ids=["header", "row-index", "value"])
+def test_read_sparse_survives_every_byte_at_one_position(tmp_path, at, line):
+    """Every byte value, UTF-8 or not, gives a matrix or a FormatError; a
+    byte that is not UTF-8 on its own fails at its own line."""
+    path = tmp_path / "m.agrip"
+    for byte in range(256):
+        data = bytearray(_SMALL_FILE)
+        data[at] = byte
+        path.write_bytes(data)
+        try:
+            read_sparse(path)
+        except FormatError as err:
+            assert byte < 0x80 or err.line == line, (byte, str(err))
+        else:
+            assert byte < 0x80, byte
+
+
 @st.composite
 def signed_matrices(draw):
     """Columns of 1 to n entries with any nonzero int64 values."""
@@ -440,8 +464,7 @@ def test_shared_arrays_are_read_only():
     A = MeasurementMatrix.from_csc(2, 2, indptr, [0, 0, 1], [1, 1, 1])
     R = randomize_signs(A, 0)
     assert R.indices is A.indices
-    for arr in (indptr, A.indptr, A.indices, A.data, R.data,
-                A.to_csc().data, A.column(1)[0]):
+    for arr in (indptr, A.indptr, A.indices, A.data, R.data, A.column(1)[0]):
         with pytest.raises(ValueError):
             arr[0] = 7
     assert A.column(0)[0].tolist() == [0]
@@ -478,8 +501,6 @@ def test_column_list_and_arrays_give_one_matrix():
     assert M.sqnorms().tolist() == [5, 25, 4]
     assert M.constant_support() is None and not M.is_binary()
     assert [r.tolist() for r in M.column(2)] == [[0, 1, 2, 3], [1, 1, -1, 1]]
-    csc = A.to_csc()
-    assert csc.indices is A.indices and csc.data is A.data
     assert np.array_equal(M.to_dense(), [[0, 5, 1], [2, 0, 1], [0, 0, -1],
                                          [-1, 0, 1]])
 
@@ -583,6 +604,20 @@ def test_gram_scan_does_not_depend_on_the_block_size(M, dense, monkeypatch):
         assert _coherence_from(scan) == mu
         for mode, value in omega.items():
             assert _average_coherence_from(scan, mode) == value
+
+
+def test_a_very_sparse_family_takes_sparse_tiles_by_default(monkeypatch):
+    """Random-signed devore F_37 r=2: n = N = 1369, and n N^2 is 1369 times
+    the sparse product's work, above _DENSE_WORK_RATIO."""
+    M = randomize_signs(devore(make_field(37), 2), 1)
+    real = agrip.matrix._densify
+    monkeypatch.setattr(agrip.matrix, "_densify",
+                        lambda *args: pytest.fail("densified a slab"))
+    sparse = _gram_scan(M, DEFAULT_PAIR_CAP)
+    monkeypatch.setattr(agrip.matrix, "_densify", real)
+    monkeypatch.setattr(agrip.matrix, "_DENSE_WORK_RATIO", 10 ** 30)
+    for got, want in zip(sparse, _gram_scan(M, DEFAULT_PAIR_CAP)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _gram_scan_by_definition(arr):

@@ -186,7 +186,8 @@ def test_one_step_thresholding_on_balanced_matrix():
 
 
 def _reference_phi(M):
-    A = M.to_csc().astype(np.float64)
+    A = sp.csc_matrix((M.data, M.indices, M.indptr),
+                      shape=(M.n, M.N)).astype(np.float64)
     return A @ sp.diags(1.0 / np.sqrt(M.sqnorms().astype(np.float64)))
 
 

@@ -105,6 +105,8 @@ def _load_json_object(path, what) -> dict:
 def _load_sidecar(path) -> dict:
     sidecar = _load_json_object(path, "sidecar")
     _check_keys(sidecar, _SIDECAR_KEYS, f"sidecar {path}")
+    if not isinstance(sidecar.get("sign_scheme"), (dict, type(None))):
+        raise PreconditionError(f"sidecar {path}: sign_scheme is not an object")
     return sidecar
 
 
@@ -449,8 +451,15 @@ def cmd_pipeline(args) -> int:
 def cmd_replay(args) -> int:
     manifest = _load_json_object(args.manifest, "manifest")
     _check_keys(manifest, _MANIFEST_KEYS, f"manifest {args.manifest}")
-    sub = manifest["subcommand"]
-    stored = dict(manifest["arguments"])
+    sub, stored = manifest.get("subcommand"), manifest.get("arguments")
+    if sub not in ("construct", "sign", "analyze", "recover", "pipeline"):
+        raise PreconditionError(f"manifest subcommand {sub!r} cannot be replayed")
+    parser = build_parser().commands[sub]
+    names = {a.dest for a in parser._actions} - {"help"}
+    if not (isinstance(stored, dict) and names <= set(stored)
+            and isinstance(manifest.get("outputs"), dict)):
+        raise PreconditionError(f"manifest {args.manifest} needs an outputs "
+                                f"object and the {sub} arguments {sorted(names)}")
     if args.out_dir:
         # re-root every output path into the replay directory
         outdir = Path(args.out_dir)
@@ -464,13 +473,7 @@ def cmd_replay(args) -> int:
             stored["out_dir"] = str(outdir)
     else:
         mapping = {old: old for old in manifest["outputs"]}
-    ns = argparse.Namespace(**stored)
-    handler = {"construct": cmd_construct, "sign": cmd_sign,
-               "analyze": cmd_analyze, "recover": cmd_recover,
-               "pipeline": cmd_pipeline}.get(sub)
-    if handler is None:
-        raise PreconditionError(f"manifest subcommand {sub!r} cannot be replayed")
-    handler(ns)
+    parser.get_default("func")(argparse.Namespace(**stored))
     mismatches = []
     for old, digest in manifest["outputs"].items():
         new = mapping[old]
@@ -592,6 +595,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_replay)
 
+    parser.commands = sub.choices  # name -> subcommand parser, for replay
     return parser
 
 

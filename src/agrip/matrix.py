@@ -11,12 +11,13 @@ single-radicand SurdSum; average coherence over columns with mixed norms is a
 general SurdSum.
 
 All three come from one exact symmetric pass over tiles of |G| (_gram_scan),
-float32 or float64 as n max|a|^2 allows: per squared-norm group, the absolute
-row sums and the largest |G_ij|; the signed row sums are int64 passes over
-the entries (_signed_sums).  scipy is imported only in _gram_scan's
-sparse-tile branch, which very sparse matrices take.
-The pairwise scan is capped (default 20000 columns); above the cap it
-refuses to run rather than blow up at O(N^2).
+float32 or float64 as B = n max|a|^2 allows and summed in that type while
+the tile edge times B fits its mantissa: per squared-norm group, the
+absolute row sums and the largest |G_ij|; the signed row sums are int64
+passes over the entries (_signed_sums).  scipy is imported only in
+_gram_scan's sparse-tile branch, which very sparse matrices take.  The
+pairwise scan is capped (default 20000 columns); above the cap it refuses
+to run rather than blow up at O(N^2).
 
 A function-space matrix (evaluation_matrix of an F_q-linear design, or its
 balanced signing) needs no pairwise scan.  Column f's entry at point P is
@@ -302,9 +303,12 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
     GEMMs of dense slabs of the norm-sorted columns, gathered once, when
     n N^2 < _DENSE_WORK_RATIO * sum_k r_k^2, the sparse product's work (r_k
     nonzeros in row k), else scipy int64 products of M's columns, permuted.
-    By Cauchy-Schwarz every partial sum in a tile is an integer of size at
-    most B = n max|a|^2 < 2^53, so float64 slabs are exact, and float32
-    ones, used when B < 2^24; sums stay under N B < 2^63.
+    By Cauchy-Schwarz every partial sum of a tile's products is an integer
+    of size at most B = n max|a|^2 < 2^53, so float64 slabs are exact, and
+    float32 ones, used when B < 2^24.  Each task writes G and |G| into one
+    tile buffer; a tile's sums add at most edge values <= B, so they stay in
+    its float type while edge B fits the mantissa, else go to int64; sums
+    stay under N B < 2^63.
     """
     bound = _check_gram_input(M)
     if M.N > pair_cap:
@@ -319,6 +323,7 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
     N, g, edge = M.N, values.size, _gram_tile(M.n)
     dense = M.n * N * N < _DENSE_WORK_RATIO * int(np.sum(np.bincount(M.indices) ** 2))
     dtype = np.float32 if bound < 1 << 24 else np.float64
+    exact_sums = edge * bound < 2 ** (np.finfo(dtype).nmant + 1)
     if dense:
         indptr, indices, data = _gather_columns(M, order)
 
@@ -345,19 +350,25 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
         heads = segments(i0, i1)[0]
         spans = list(zip(heads, [*heads[1:], i1 - i0]))  # slab rows per group
         left = slab(i0, i1)
+        tile = np.empty((i1 - i0, edge), dtype) if dense else None
         rows = np.zeros((2, i1 - i0, g), dtype=np.int64)  # sum and max of |G|
         cols = np.zeros((len(spans), N - i0), dtype=np.int64)
         for k0, k1 in [(i0, i1)] + [(k, min(k + edge, N)) for k in range(i1, N, edge)]:
-            G = left.T @ (left if k0 == i0 else slab(k0, k1))
-            G = np.abs(G if dense else G.toarray()).astype(np.int64, copy=False)
+            right = left if k0 == i0 else slab(k0, k1)
+            G = (np.matmul(left.T, right, out=tile[:, :k1 - k0]) if dense
+                 else (left.T @ right).toarray())
+            np.abs(G, out=G)
+            if not exact_sums:
+                G = G.astype(np.int64, copy=False)
             if k0 == i0:
                 np.fill_diagonal(G, 0)
             at, groups = segments(k0, k1)
-            rows[0, :, groups] += np.add.reduceat(G, at, axis=1)
+            total, peak = (u.reduceat(G, at, axis=1).astype(np.int64, copy=False)
+                           for u in (np.add, np.maximum))
+            rows[0, :, groups] += total
+            np.maximum(rows[1, :, groups], peak, out=rows[1, :, groups])
             # row slices sum faster than np.add.reduceat along axis 0
             cols[:, k0 - i0:k1 - i0] = [G[a:b].sum(0) for a, b in spans]
-            np.maximum(rows[1, :, groups], np.maximum.reduceat(G, at, axis=1),
-                       out=rows[1, :, groups])
         return rows, cols
 
     slabs = [(i, min(i + edge, N)) for i in range(0, N, edge)]

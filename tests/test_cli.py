@@ -216,6 +216,35 @@ def test_malformed_json_and_unusable_paths_exit_2(tmp_path, capsys, setup):
     assert len(err) == 1 and err[0].startswith("agrip: error: "), err
 
 
+def _write_manifest_doc(tmp_path, doc):
+    manifest = tmp_path / "x.manifest.json"
+    manifest.write_text(json.dumps(doc))
+    return ["replay", "--manifest", str(manifest)]
+
+
+def _sign_scheme_string(tmp_path):
+    out, sidecar = _devore_files(tmp_path)
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                   "sign_scheme": "balanced"}))
+    return ["analyze", "--in", str(out)]
+
+
+@pytest.mark.parametrize("setup", [
+    lambda tmp_path: _write_manifest_doc(tmp_path, {"arguments": {},
+                                                    "outputs": {}}),
+    lambda tmp_path: _write_manifest_doc(tmp_path, {
+        "subcommand": "analyze", "arguments": {}, "outputs": {}}),
+    _sign_scheme_string,
+], ids=["manifest-without-subcommand", "manifest-without-arguments",
+        "sidecar-sign-scheme-string"])
+def test_ill_typed_manifests_and_sidecars_exit_2(tmp_path, capsys, setup):
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("agrip: error: "), err
+
+
 @pytest.mark.parametrize("value,message", [
     (1 << 32, "overflows the exact int64 Gram scan"),
     (-(1 << 63), "overflows the exact int64 Gram scan"),

@@ -506,18 +506,32 @@ def test_column_list_and_arrays_give_one_matrix():
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
+    """N = 85 in 16-column slabs: six dense-tile tasks, each with its own
+    tile buffer, share the pool however many workers it has."""
     M = fermat_hyperplane_matrix(make_field(2, 2))
     monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", 16)
+    scans = []
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("AGRIP_THREADS", threads)
+        scans.append(_gram_scan(M, DEFAULT_PAIR_CAP))
+    assert scans[0].values.size == 2  # two norm groups
+    for scan in scans[1:]:
+        for got, want in zip(scan, scans[0]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_concurrent_tasks_do_not_share_tile_buffers(monkeypatch):
+    """200 columns in 64-column slabs: four tasks whose GEMMs, abs and
+    reductions release the GIL, so tasks writing one shared tile buffer
+    would garble most 4-worker scans."""
+    M = _random_mixed_matrix(300, 200, 0.3, 1)
+    monkeypatch.setattr(agrip.matrix, "_GRAM_TILE", 64)
     monkeypatch.setenv("AGRIP_THREADS", "1")
-    scan1 = _gram_scan(M, DEFAULT_PAIR_CAP)
-    mu1 = _coherence_from(scan1)
-    om1 = _average_coherence_from(scan1, "signed")
+    ref = _gram_scan(M, DEFAULT_PAIR_CAP)
     monkeypatch.setenv("AGRIP_THREADS", "4")
-    scan4 = _gram_scan(M, DEFAULT_PAIR_CAP)
-    mu4 = _coherence_from(scan4)
-    om4 = _average_coherence_from(scan4, "signed")
-    assert mu1 == mu4
-    assert om1 == om4
+    for _ in range(6):
+        for got, want in zip(_gram_scan(M, DEFAULT_PAIR_CAP), ref):
+            assert np.array_equal(got, want)
 
 
 # -- the fused Gram scan ---------------------------------------------------------
@@ -665,6 +679,18 @@ def test_dense_tiles_stay_exact_above_float32_integers(monkeypatch):
     assert scan.pair_max.tolist() == [[0, 16_785_411], [16_785_411, 0]]
     for got, want in zip(scan, _gram_scan_by_definition(arr)):
         assert np.array_equal(got, want)
+
+
+def test_dense_tile_sums_stay_exact_above_float32_integers(monkeypatch):
+    """B = 4095^2 < 2^24 gives float32 tiles, but a tile sum may add up to
+    512 values of B: row 0's absolute sum 3 * 4095^2 = 50 307 075 has no
+    float32 spelling (it would round to 50 307 076)."""
+    arr = np.array([[4095, 4095, -4095, 4095]])
+    monkeypatch.setattr(agrip.matrix, "_DENSE_WORK_RATIO", 10 ** 30)
+    scan = _gram_scan(dense_to_matrix(arr), DEFAULT_PAIR_CAP)
+    assert scan.absolute[:, 0].tolist() == [50_307_075] * 4
+    for got, want in zip(scan, _gram_scan_by_definition(arr)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("ratio", [0, 10 ** 30], ids=["sparse-tiles",

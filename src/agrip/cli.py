@@ -6,7 +6,8 @@ Conventions:
 * exit codes: 0 success, 1 usage, 2 precondition/data error, 3 cap exceeded;
 * every writing command emits a manifest (<out>.manifest.json) holding the
   resolved arguments, seeds, tool version and sha256 digests of inputs and
-  outputs; `agrip replay` re-runs a manifest and verifies byte-identity;
+  outputs; `agrip replay` re-runs a manifest through the command line's
+  parser (a bad argument exits 2) and verifies byte-identity;
 * a matrix file <out> is accompanied by a sidecar <out>.json carrying the
   construction metadata needed to rebuild its design (the `sign` and
   `analyze` commands read it back; unknown keys are rejected).
@@ -23,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import AgripError, PreconditionError
+from .errors import AgripError, PreconditionError, UsageError
 from .fields import parse_descriptor
 from . import constructions as cons
 from . import matrix as mx
@@ -41,9 +42,7 @@ _MANIFEST_KEYS = {"format", "tool_version", "subcommand", "arguments",
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise UsageError(message, self.format_usage())
 
 
 def _dump_json(obj, path):
@@ -152,24 +151,17 @@ def _build_matrix(args):
     elif family == "ruled":
         _require(args, "d1", "d2")
         design = cons.ruled_surface_design(field, args.d1, args.d2)
-    elif family == "toric":
+    else:  # toric, the last of the parser's choices
         _require(args, "case", "d")
         design = cons.toric_design(field, args.case, args.d, args.e, args.rr)
-    else:
-        raise PreconditionError(f"unknown family {family!r}")
     return cons.evaluation_matrix(design), design
 
 
 def _require(args, *names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
-        raise SystemExit(_usage_error(
-            f"family {args.family!r} requires --{', --'.join(missing)}"))
-
-
-def _usage_error(message) -> int:
-    print(f"agrip: error: {message}", file=sys.stderr)
-    return 1
+        raise UsageError(
+            f"family {args.family!r} requires --{', --'.join(missing)}")
 
 
 def _parse_points(text):
@@ -308,14 +300,14 @@ def cmd_verify(args) -> int:
     results = []
     if args.check == "coherence":
         if not args.infile:
-            raise SystemExit(_usage_error("--check coherence needs --in"))
+            raise UsageError("--check coherence needs --in")
         M = mx.read_sparse(args.infile)
         oracle = ver.brute_force_coherence(M)
         fast = mx.coherence(M)
         results.append(ver.OracleResult("coherence", args.infile, oracle, fast))
     elif args.check == "diff-trick":
         if not args.design:
-            raise SystemExit(_usage_error("--check diff-trick needs --design"))
+            raise UsageError("--check diff-trick needs --design")
         design = _sidecar_design(_load_sidecar(args.design))
         oracle = ver.coherence_via_differences(design)
         fast = None
@@ -326,13 +318,13 @@ def cmd_verify(args) -> int:
                                         args.design, oracle, fast))
     elif args.check == "rip":
         if not args.infile or args.k is None:
-            raise SystemExit(_usage_error("--check rip needs --in and --k"))
+            raise UsageError("--check rip needs --in and --k")
         M = mx.read_sparse(args.infile)
         delta = ver.brute_force_rip_delta(M, args.k)
         results.append(ver.OracleResult(f"delta_{args.k}", args.infile, delta))
     elif args.check == "curves":
         if not args.field or args.r is None:
-            raise SystemExit(_usage_error("--check curves needs --field and --r"))
+            raise UsageError("--check curves needs --field and --r")
         census = cons.plane_curve_census(parse_descriptor(args.field), args.r)
         results.append(ver.OracleResult(
             "smooth_curve_tuples", f"q={census.q},r={census.r}",
@@ -343,14 +335,12 @@ def cmd_verify(args) -> int:
             census.class_count))
     elif args.check == "fermat":
         if not args.field:
-            raise SystemExit(_usage_error("--check fermat needs --field"))
+            raise UsageError("--check fermat needs --field")
         report = ver.fermat_section_counts(parse_descriptor(args.field),
                                            t=1 if args.t is None else args.t)
         results.append(ver.OracleResult(
             "fermat_min_section", f"q={report.q},t={report.t}",
             report.min_count, report.lower_bound))
-    else:
-        raise SystemExit(_usage_error(f"unknown check {args.check!r}"))
     for r in results:
         json.dump(r.to_dict(), sys.stdout, sort_keys=True)
         print()
@@ -404,8 +394,7 @@ def cmd_pipeline(args) -> int:
         rec.check_experiment(args.trials, args.sigma, args.seed, args.algorithm)
     outdir = Path(args.out_dir)
     matrix_path = outdir / "matrix.agrip"
-    construct_args = argparse.Namespace(**{**vars(args), "out": str(matrix_path)})
-    M, design = _build_matrix(construct_args)
+    M, design = _build_matrix(args)
     if args.recover_k:
         k_values = rec.check_sweep(M, k_values)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -415,7 +404,7 @@ def cmd_pipeline(args) -> int:
     artifacts = [matrix_path, Path(_sidecar_for(matrix_path))]
 
     Mc = M
-    if args.sign_scheme and args.sign_scheme != "ones":
+    if args.sign_scheme != "ones":
         signed_path = outdir / "signed.agrip"
         Mc, sidecar = _write_signed(M, args.sign_scheme, design, sidecar,
                                     signed_path)
@@ -454,26 +443,34 @@ def cmd_replay(args) -> int:
     sub, stored = manifest.get("subcommand"), manifest.get("arguments")
     if sub not in ("construct", "sign", "analyze", "recover", "pipeline"):
         raise PreconditionError(f"manifest subcommand {sub!r} cannot be replayed")
-    parser = build_parser().commands[sub]
-    names = {a.dest for a in parser._actions} - {"help"}
-    if not (isinstance(stored, dict) and names <= set(stored)
+    actions = build_parser().commands[sub]._actions[1:]  # after --help
+    names = {a.dest for a in actions} | {"subcommand"}
+    if not (isinstance(stored, dict) and set(stored) == names
             and isinstance(manifest.get("outputs"), dict)):
         raise PreconditionError(f"manifest {args.manifest} needs an outputs "
-                                f"object and the {sub} arguments {sorted(names)}")
-    if args.out_dir:
-        # re-root every output path into the replay directory
-        outdir = Path(args.out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        mapping = {old: str(outdir / Path(old).name)
-                   for old in manifest["outputs"]}
-        for key in ("out", "out_dir"):
-            if stored.get(key) in mapping:
-                stored[key] = mapping[stored[key]]
-        if sub == "pipeline":
-            stored["out_dir"] = str(outdir)
-    else:
-        mapping = {old: old for old in manifest["outputs"]}
-    parser.get_default("func")(argparse.Namespace(**stored))
+                                f"object and exactly the arguments {sorted(names)}")
+    argv = [sub]  # --flag=value, so that a value like "-1" is not an option
+    for a in actions:
+        value, flag = stored[a.dest], a.option_strings[0]
+        if a.nargs == 0 and isinstance(value, bool):  # --analyze
+            argv += [flag] if value else []
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    mapping = {old: old for old in manifest["outputs"]}
+    try:
+        replayed = build_parser().parse_args(argv)
+        if args.out_dir:
+            # re-root every output path into the replay directory
+            outdir = Path(args.out_dir)
+            mapping = {old: str(outdir / Path(old).name) for old in mapping}
+            if sub == "pipeline":
+                replayed.out_dir = str(outdir)
+            elif replayed.out in mapping:
+                replayed.out = mapping[replayed.out]
+            outdir.mkdir(parents=True, exist_ok=True)
+        replayed.func(replayed)
+    except UsageError as exc:
+        raise PreconditionError(f"manifest {args.manifest}: {exc}") from None
     mismatches = []
     for old, digest in manifest["outputs"].items():
         new = mapping[old]
@@ -528,6 +525,13 @@ def build_parser() -> _Parser:
         p.add_argument("--e", type=int, help="toric case-2 parameter e")
         p.add_argument("--rr", type=int, help="toric case-2 parameter r")
 
+    def add_report_options(p):
+        p.add_argument("--log-base", default="natural",
+                       choices=["natural", "base2", "base10"])
+        p.add_argument("--omega-mode", default="signed",
+                       choices=["signed", "absolute"])
+        p.add_argument("--pair-cap", type=int, default=mx.DEFAULT_PAIR_CAP)
+
     p = sub.add_parser("construct", help="build a matrix family instance")
     add_family_options(p)
     p.add_argument("--out", required=True)
@@ -543,11 +547,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="exact coherence report")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--log-base", default="natural",
-                   choices=["natural", "base2", "base10"])
-    p.add_argument("--omega-mode", default="signed",
-                   choices=["signed", "absolute"])
-    p.add_argument("--pair-cap", type=int, default=mx.DEFAULT_PAIR_CAP)
+    add_report_options(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
@@ -577,11 +577,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sign-scheme", default="ones",
                    help="ones | random:SEED | balanced")
     p.add_argument("--analyze", action="store_true")
-    p.add_argument("--log-base", default="natural",
-                   choices=["natural", "base2", "base10"])
-    p.add_argument("--omega-mode", default="signed",
-                   choices=["signed", "absolute"])
-    p.add_argument("--pair-cap", type=int, default=mx.DEFAULT_PAIR_CAP)
+    add_report_options(p)
     p.add_argument("--recover-k", help='recovery sweep, e.g. "1..3"')
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--sigma", type=float, default=0.0)
@@ -604,9 +600,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help and --version
         code = exc.code
         return code if isinstance(code, int) else 1
+    except UsageError as exc:
+        print(f"{exc.usage}agrip: error: {exc}", file=sys.stderr)
+        return exc.exit_code
     except AgripError as exc:
         print(f"agrip: error: {exc}", file=sys.stderr)
         return exc.exit_code

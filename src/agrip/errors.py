@@ -18,6 +18,16 @@ class PreconditionError(AgripError):
     exit_code = 2
 
 
+class UsageError(AgripError):
+    """A rejected command line; carries the usage text to print first."""
+
+    exit_code = 1
+
+    def __init__(self, message, usage=""):
+        super().__init__(message)
+        self.usage = usage
+
+
 class CapExceeded(AgripError):
     """A configured enumeration or size cap would be exceeded."""
 

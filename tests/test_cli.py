@@ -1,8 +1,10 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agrip.cli import main
 from agrip.fields import make_field
@@ -229,20 +231,83 @@ def _sign_scheme_string(tmp_path):
     return ["analyze", "--in", str(out)]
 
 
+# one small run of each writing command; "@" stands for the run directory
+_RECORDED_RUNS = {
+    "construct": ["construct", "--family", "devore", "--field", "3", "--r",
+                  "2", "--out", "@d.agrip"],
+    "sign": ["sign", "--scheme", "random:1", "--in", "@d.agrip",
+             "--design", "@d.agrip.json", "--out", "@s.agrip"],
+    "analyze": ["analyze", "--in", "@s.agrip", "--out", "@a.json"],
+    "recover": ["recover", "--matrix", "@d.agrip", "--k", "1..2",
+                "--trials", "5", "--seed", "1", "--out", "@r.json"],
+    "pipeline": ["pipeline", "--family", "devore", "--field", "3", "--r",
+                 "2", "--sign-scheme", "balanced", "--analyze",
+                 "--recover-k", "1..2", "--trials", "5", "--out-dir", "@p"],
+}
+
+
+def _record(rundir, *runs):
+    """Run each argv of runs, in order, in rundir ("@" stands for it); the
+    path of the manifest each writes (its output is its last argument)."""
+    manifests = []
+    for run in runs:
+        argv = [a.replace("@", f"{rundir}/") for a in run]
+        assert run_cli(*argv) == 0
+        manifests.append(Path(f"{argv[-1]}/pipeline.manifest.json"
+                              if argv[0] == "pipeline"
+                              else f"{argv[-1]}.manifest.json"))
+    return manifests
+
+
+def _record_all(rundir):
+    """Run every _RECORDED_RUNS command in rundir; kind -> manifest path."""
+    return dict(zip(_RECORDED_RUNS, _record(rundir, *_RECORDED_RUNS.values())))
+
+
+def _replay_changed(*runs, **changes):
+    """A setup: write @tall.agrip (four rows, two columns, no sidecar), run
+    runs, then replay the last one's manifest with its arguments changed
+    (a name it lacks is added)."""
+    def setup(tmp_path):
+        write_sparse(dense_to_matrix(np.array([[1, 0], [1, 1], [0, 1],
+                                               [1, 1]])),
+                     tmp_path / "tall.agrip")
+        doc = json.loads(_record(tmp_path, *runs)[-1].read_text())
+        doc["arguments"].update(changes)
+        return _write_manifest_doc(tmp_path, doc)
+    return setup
+
+
 @pytest.mark.parametrize("setup", [
     lambda tmp_path: _write_manifest_doc(tmp_path, {"arguments": {},
                                                     "outputs": {}}),
     lambda tmp_path: _write_manifest_doc(tmp_path, {
         "subcommand": "analyze", "arguments": {}, "outputs": {}}),
     _sign_scheme_string,
+    _replay_changed(["analyze", "--in", "@tall.agrip", "--out", "@a.json"],
+                    pair_cap="many"),
+    _replay_changed(["construct", "--family", "consta-poles", "--field",
+                     "2^3", "--poles", "0,1", "--points", "2,3,7", "--out",
+                     "@c.agrip"], field=7),
+    _replay_changed(["recover", "--matrix", "@tall.agrip", "--k", "1..2",
+                     "--trials", "5", "--out", "@r.json"], k=7),
+    _replay_changed(_RECORDED_RUNS["construct"], _RECORDED_RUNS["sign"],
+                    scheme=None),
+    _replay_changed(_RECORDED_RUNS["pipeline"], analyze="yes"),
+    _replay_changed(_RECORDED_RUNS["construct"], r=None),
+    _replay_changed(_RECORDED_RUNS["construct"], bogus=1),
 ], ids=["manifest-without-subcommand", "manifest-without-arguments",
-        "sidecar-sign-scheme-string"])
+        "sidecar-sign-scheme-string", "pair-cap-many", "field-7", "k-7",
+        "scheme-null", "analyze-yes", "r-null", "extra-argument"])
 def test_ill_typed_manifests_and_sidecars_exit_2(tmp_path, capsys, setup):
     argv = setup(tmp_path)
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     capsys.readouterr()
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("agrip: error: "), err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == files  # nothing written first
 
 
 @pytest.mark.parametrize("value,message", [
@@ -553,6 +618,49 @@ def test_replay_construct_manifest(tmp_path):
     assert (replay_dir / "m.agrip").read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("kind", list(_RECORDED_RUNS))
+def test_replay_is_byte_identical_in_place_and_under_out_dir(tmp_path, kind):
+    manifest = _record_all(tmp_path)[kind]
+    recorded = {Path(p): Path(p).read_bytes()
+                for p in json.loads(manifest.read_text())["outputs"]}
+    replay_dir = tmp_path / "replay"
+    assert run_cli("replay", "--manifest", str(manifest)) == 0
+    assert run_cli("replay", "--manifest", str(manifest),
+                   "--out-dir", str(replay_dir)) == 0
+    for path, data in recorded.items():
+        assert path.read_bytes() == data
+        assert (replay_dir / path.name).read_bytes() == data
+
+
+_JSON_VALUES = ["many", 7, -1, 1.5, True, None, [], {}]
+
+
+def test_mutated_manifests_replay_with_exit_0_2_or_3(tmp_path, monkeypatch):
+    """One argument of a recorded manifest dropped, added or replaced by a
+    JSON value of another type: replay ends in exit 0, 2 or 3, never in an
+    exception out of main."""
+    # a mutated output path such as 7 is relative: keep it in tmp_path
+    monkeypatch.chdir(tmp_path)
+    docs = {kind: json.loads(m.read_text())
+            for kind, m in _record_all(tmp_path).items()}
+    names = sorted({n for doc in docs.values() for n in doc["arguments"]})
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(docs)),
+           name=st.sampled_from(names + ["bogus"]),
+           value=st.sampled_from(["drop"] + _JSON_VALUES))
+    def replay(kind, name, value):
+        doc = json.loads(json.dumps(docs[kind]))
+        if value == "drop":
+            doc["arguments"].pop(name, None)
+        else:
+            doc["arguments"][name] = value
+        argv = _write_manifest_doc(tmp_path, doc)
+        assert main(argv + ["--out-dir", str(tmp_path / "replay")]) in (0, 2, 3)
+
+    replay()
+
+
 def test_pipeline_balanced_devore_reproduces_certification_facts(tmp_path):
     outdir = tmp_path / "bal"
     assert run_cli("pipeline", "--family", "devore", "--field", "5", "--r", "2",
@@ -593,9 +701,11 @@ def test_malformed_field_and_numbers_exit_2(tmp_path, capsys):
             "--out", str(out))
     assert run_cli("recover", "--matrix", str(out), "--k", "1..x",
                    "--trials", "2", "--out", str(tmp_path / "r.json")) == 2
-    assert run_cli("pipeline", "--family", "devore", "--field", "3", "--r", "2",
-                   "--sign-scheme", "random:x",
-                   "--out-dir", str(tmp_path / "p")) == 2
+    for scheme in ("random:x", ""):
+        assert run_cli("pipeline", "--family", "devore", "--field", "3",
+                       "--r", "2", "--sign-scheme", scheme,
+                       "--out-dir", str(tmp_path / "p")) == 2
+    assert "unknown sign scheme ''" in capsys.readouterr().err
 
 
 def test_balanced_certificate_reuses_report_numbers(tmp_path, monkeypatch):

@@ -173,13 +173,19 @@ def _matrix_sidecar(M) -> dict:
             **{k: v for k, v in M.meta.items() if k in _SIDECAR_KEYS}}
 
 
+def _write_matrix(M, sidecar, out) -> list:
+    """Write M to out and sidecar beside it; the two paths."""
+    mx.write_sparse(M, out)
+    _dump_json(sidecar, _sidecar_for(out))
+    return [out, Path(_sidecar_for(out))]
+
+
 def cmd_construct(args) -> int:
     M, _ = _build_matrix(args)
     out = Path(args.out)
-    mx.write_sparse(M, out)
-    _dump_json(_matrix_sidecar(M), _sidecar_for(out))
     _write_manifest("construct", _args_dict(args), [],
-                    [out, _sidecar_for(out)], _manifest_for(out))
+                    _write_matrix(M, _matrix_sidecar(M), out),
+                    _manifest_for(out))
     print(f"wrote {out} ({M.n} x {M.N}, nnz {M.nnz})", file=sys.stderr)
     return 0
 
@@ -187,32 +193,27 @@ def cmd_construct(args) -> int:
 # -- sign ----------------------------------------------------------------------
 
 
-def _apply_scheme(M, scheme_text, design):
-    if scheme_text == "ones":
-        return M, {"kind": "all_ones"}
-    if scheme_text.startswith("random:"):
-        seed = _parse_int(scheme_text.split(":", 1)[1], "random-sign seed")
-        signed = sg.randomize_signs(M, seed)
-        return signed, signed.meta["sign_scheme"]
-    if scheme_text == "balanced":
-        if design is None:
-            raise PreconditionError(
-                f"no evaluation design for family {M.meta['family']!r}")
-        signed = sg.balanced_matrix(design)
-        return signed, signed.meta["sign_scheme"]
-    raise PreconditionError(f"unknown sign scheme {scheme_text!r}")
+def _parse_scheme(text):
+    """"ones", "balanced", or the seed of "random:SEED"."""
+    if text in ("ones", "balanced"):
+        return text
+    if text.startswith("random:"):
+        return _parse_int(text.split(":", 1)[1], "random-sign seed")
+    raise PreconditionError(f"unknown sign scheme {text!r}")
 
 
-def _write_signed(M, scheme_text, design, sidecar, out):
-    """Sign M, write it and its sidecar to out; return both."""
-    signed, scheme = _apply_scheme(M, scheme_text, design)
-    sidecar = {**sidecar, "sign_scheme": scheme}
-    mx.write_sparse(signed, out)
-    _dump_json(sidecar, _sidecar_for(out))
-    return signed, sidecar
+def _sign(M, scheme, design, sidecar):
+    """M signed by a _parse_scheme result ("balanced" by M's evaluation
+    design), and sidecar with the scheme's entry."""
+    if scheme == "ones":
+        return M, {**sidecar, "sign_scheme": {"kind": "all_ones"}}
+    signed = (sg.balanced_matrix(design) if scheme == "balanced"
+              else sg.randomize_signs(M, scheme))
+    return signed, {**sidecar, "sign_scheme": signed.meta["sign_scheme"]}
 
 
 def cmd_sign(args) -> int:
+    scheme = _parse_scheme(args.scheme)
     sidecar = _load_sidecar(args.design)
     M = mx.read_sparse(args.infile, meta={k: sidecar.get(k) for k in
                                           ("family", "params", "field")})
@@ -221,15 +222,15 @@ def cmd_sign(args) -> int:
             f"{args.infile} is {M.n} x {M.N}, but {args.design} describes a "
             f"{sidecar.get('n')} x {sidecar.get('N')} matrix")
     design = None
-    if args.scheme == "balanced":
+    if scheme == "balanced":
         design = _sidecar_design(sidecar)
         if M != cons.evaluation_matrix(design):
             raise PreconditionError(f"{args.infile} is not the unsigned matrix "
                                     f"of the design {args.design} describes")
     out = Path(args.out)
-    _write_signed(M, args.scheme, design, sidecar, out)
     _write_manifest("sign", _args_dict(args), [args.infile, args.design],
-                    [out, _sidecar_for(out)], _manifest_for(out))
+                    _write_matrix(*_sign(M, scheme, design, sidecar), out),
+                    _manifest_for(out))
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
@@ -387,28 +388,26 @@ def _with_meta(M, meta):
 
 
 def cmd_pipeline(args) -> int:
-    # the recovery arguments are checked before anything is built or written,
-    # the sweep's range as soon as the matrix exists
+    # the sign scheme and the recovery arguments are checked before anything
+    # is built or written, the sweep's range as soon as the matrix exists
+    scheme = _parse_scheme(args.sign_scheme)
+    if scheme == "balanced" and args.family not in _FUNCTION_SPACE_FAMILIES:
+        raise PreconditionError(f"no evaluation design for family "
+                                f"{args.family!r}")
     if args.recover_k:
         k_values = _parse_k_range(args.recover_k)
         rec.check_experiment(args.trials, args.sigma, args.seed, args.algorithm)
     outdir = Path(args.out_dir)
-    matrix_path = outdir / "matrix.agrip"
     M, design = _build_matrix(args)
     if args.recover_k:
         k_values = rec.check_sweep(M, k_values)
-    outdir.mkdir(parents=True, exist_ok=True)
-    mx.write_sparse(M, matrix_path)
     sidecar = _matrix_sidecar(M)
-    _dump_json(sidecar, _sidecar_for(matrix_path))
-    artifacts = [matrix_path, Path(_sidecar_for(matrix_path))]
-
-    Mc = M
-    if args.sign_scheme != "ones":
-        signed_path = outdir / "signed.agrip"
-        Mc, sidecar = _write_signed(M, args.sign_scheme, design, sidecar,
-                                    signed_path)
-        artifacts += [signed_path, Path(_sidecar_for(signed_path))]
+    Mc, signed_sidecar = _sign(M, scheme, design, sidecar)  # before any write
+    outdir.mkdir(parents=True, exist_ok=True)
+    artifacts = _write_matrix(M, sidecar, outdir / "matrix.agrip")
+    if scheme != "ones":
+        sidecar = signed_sidecar
+        artifacts += _write_matrix(Mc, sidecar, outdir / "signed.agrip")
 
     # the later stages see the matrix with the metadata a read-back of the
     # last file would give it: its sidecar's keys for analyze, none for recover
@@ -456,6 +455,8 @@ def cmd_replay(args) -> int:
             argv += [flag] if value else []
         elif value is not None:
             argv.append(f"{flag}={value}")
+    if any("\0" in token for token in argv):  # no command line carries one
+        raise PreconditionError(f"manifest {args.manifest}: NUL in an argument")
     mapping = {old: old for old in manifest["outputs"]}
     try:
         replayed = build_parser().parse_args(argv)

@@ -5,29 +5,28 @@ normalized inner product is in general a Z-linear combination of square roots
 of squarefree integers divided by an integer.  ``SurdSum`` represents such
 numbers exactly: a map from squarefree radicands to rational coefficients.
 Sums with distinct squarefree radicands are equal iff their coefficients
-agree, so equality is a dictionary comparison; strict order is decided by
-interval arithmetic at escalating precision, which terminates because a
-nonzero difference is a nonzero algebraic number.
-
+agree, so equality is a dictionary comparison.
 Values that happen to be rational are returned as ``fractions.Fraction`` so
-callers can compare them bit-exactly against closed forms.
+callers can compare them bit-exactly against closed forms, and are floored,
+rounded and converted by Fraction arithmetic.
 
-Every mpmath evaluation runs in a private context of fixed precision, one
-per (context type, dps), created once and never changed, so worker threads
-may share them; the precision of the global ``mpmath.mp`` and ``mpmath.iv``
-is never set.
+Everything else reads one integer bracket, lo <= 2^k * sum_r c_r sqrt(r) <= hi
+(``_bracket``, one ``math.isqrt`` per term), at k = 64, 128, ... until it
+decides.  That always happens.  Square roots of distinct squarefree integers
+are linearly independent over Q, so a canonical sum with a term is nonzero,
+and an irrational sum is never an integer, a float rounding boundary or a
+decimal tie.  And 1/(160 log_b n), n > 1, is transcendental unless log_b n
+is rational (Lindemann for ln n, Gelfond-Schneider for an irrational
+log_b n), which happens only for n a power of b and is compared exactly.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from fractions import Fraction
 
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.ctx_mp import MPContext
-
-_SIGN_DPS_LADDER = (40, 80, 160, 320, 640)
-_DECIMAL_DIGITS = 12  # digits of a rendered decimal, computed at 10 more
+_FIRST_BITS = 64  # k of the first bracket; each undecided one doubles it
+_DECIMAL_DIGITS = 12
 _LOG_BASES = {"natural": None, "base2": 2, "base10": 10}
 
 
@@ -60,51 +59,56 @@ def _as_terms(value):
     return {1: fr} if fr else {}
 
 
-def _evaluate(terms, ctx):
-    """sum(coeff * sqrt(rad)) in ctx: an mpf, or an interval enclosing it."""
-    total = ctx.mpf(0)
+def _bracket(terms, k: int) -> tuple[int, int]:
+    """Integers lo <= 2^k * sum(coeff * sqrt(rad)) <= hi, hi - lo = len(terms).
+
+    A term contributes floor(2^k |coeff| sqrt(rad)), the isqrt of its floored
+    square, or minus one more than that when coeff < 0."""
+    lo = 0
     for rad, coeff in terms.items():
-        t = ctx.mpf(coeff.numerator) / coeff.denominator
-        if rad != 1:
-            t *= ctx.sqrt(rad)
-        total += t
-    return total
+        num, den = coeff.numerator, coeff.denominator
+        m = math.isqrt((num * num * rad << 2 * k) // (den * den))
+        lo += m if num > 0 else -m - 1
+    return lo, lo + len(terms)
 
 
-@functools.cache
-def _context(kind, dps: int):
-    """The private kind() context at dps digits; it is never changed."""
-    ctx = kind()
-    ctx.dps = dps
-    return ctx
-
-
-def _refined_sign(interval, what: str) -> int:
-    """Sign of the number that interval(ctx) encloses, refined up the ladder.
-
-    interval is evaluated in the private interval context of each rung until
-    its enclosure excludes 0; the number must be nonzero.
-    """
-    for dps in _SIGN_DPS_LADDER:
-        iv = interval(_context(MPIntervalContext, dps))
-        if iv.a > 0:
-            return 1
-        if iv.b < 0:
-            return -1
-    raise ArithmeticError(f"could not separate {what}")
+def _decide(terms, f):
+    """f(sum(coeff * sqrt(rad))), for an f of a Fraction that is monotone
+    and constant near the sum: f of the sum itself when it is rational, else
+    f of the ends of the first bracket at k = _FIRST_BITS, 2k, ... that f
+    maps alike."""
+    if set(terms) <= {1}:
+        return f(terms.get(1, Fraction(0)))
+    k = _FIRST_BITS
+    while True:
+        lo, hi = _bracket(terms, k)
+        if (out := f(Fraction(lo, 1 << k))) == f(Fraction(hi, 1 << k)):
+            return out
+        k *= 2
 
 
 def _terms_sign(terms) -> int:
     """Sign of sum(coeff * sqrt(rad)), exact."""
-    if not terms:
-        return 0
-    signs = {c > 0 for c in terms.values()}
-    if signs == {True}:
-        return 1
-    if signs == {False}:
-        return -1
-    return _refined_sign(lambda ctx: _evaluate(terms, ctx),
-                         f"surd sum from zero: {terms}")
+    return _decide(terms, lambda x: (x > 0) - (x < 0))
+
+
+def _spell(x: Fraction) -> str:
+    """x rounded half away from zero to _DECIMAL_DIGITS significant digits:
+    fixed point when the leading digit is at 10^e, -5 < e < 12, else
+    "1.5e+12" or "1.5e-6"; trailing zeros stripped ("3.0", "0.0")."""
+    if not x:
+        return "0.0"
+    e = len(str(abs(x.numerator))) - len(str(x.denominator))
+    e -= abs(x) < Fraction(10) ** e  # now 10^e <= |x| < 10^(e + 1)
+    digits = math.floor(abs(x) * Fraction(10) ** (_DECIMAL_DIGITS - 1 - e)
+                        + Fraction(1, 2))
+    if digits == 10 ** _DECIMAL_DIGITS:  # 9.99...95 rounds up to 10
+        digits, e = digits // 10, e + 1
+    text, point, suffix = str(digits), 1, f"e{e:+d}"
+    if -5 < e < _DECIMAL_DIGITS:
+        text, point, suffix = "0" * -e + text, max(e, 0) + 1, ""
+    fraction = text[point:].rstrip("0") or "0"
+    return ("-" if x < 0 else "") + text[:point] + "." + fraction + suffix
 
 
 class SurdSum:
@@ -131,8 +135,6 @@ class SurdSum:
     @classmethod
     def ratio_sqrt(cls, num, den_radicand: int) -> "SurdSum":
         """The value num / sqrt(den_radicand), den_radicand a positive int."""
-        if den_radicand <= 0:
-            raise ValueError("radicand must be positive")
         sq, sf = squarefree_decompose(den_radicand)
         # num / (sq * sqrt(sf)) = num * sqrt(sf) / (sq * sf)
         return cls({sf: Fraction(num) / (sq * sf)})
@@ -216,7 +218,7 @@ class SurdSum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, SurdSum)):
-            return self._diff_sign(other) == 0
+            return self._terms == _as_terms(other)  # both canonical
         return NotImplemented
 
     def __hash__(self):
@@ -242,7 +244,7 @@ class SurdSum:
     # -- rendering -----------------------------------------------------------
 
     def __float__(self):
-        return float(_evaluate(self._terms, _context(MPContext, 40)))
+        return _decide(self._terms, float)  # float(Fraction) rounds correctly
 
     def __repr__(self):
         if not self._terms:
@@ -254,8 +256,7 @@ class SurdSum:
 
 def exact_ratio_sqrt(num: int, den_radicand: int) -> Fraction | SurdSum:
     """num / sqrt(den_radicand) as a Fraction when exact, else a SurdSum."""
-    s = SurdSum.ratio_sqrt(num, den_radicand)
-    return s.as_fraction() if s.is_rational else s
+    return as_exact(SurdSum.ratio_sqrt(num, den_radicand))
 
 
 def as_exact(value) -> Fraction | SurdSum:
@@ -265,30 +266,37 @@ def as_exact(value) -> Fraction | SurdSum:
 
 
 def exact_decimal(value) -> str:
-    """value to _DECIMAL_DIGITS significant digits."""
-    ctx = _context(MPContext, _DECIMAL_DIGITS + 10)
-    return ctx.nstr(_evaluate(_as_terms(value), ctx), _DECIMAL_DIGITS)
+    """value rounded and spelt as _spell does, from its exact value."""
+    return _decide(_as_terms(value), _spell)
 
 
 def floor_reciprocal(value) -> int:
     """floor(1/value) for a positive exact value, computed exactly."""
-    if isinstance(value, Fraction) or not isinstance(value, SurdSum):
-        fr = Fraction(value)
-        if fr <= 0:
-            raise ValueError("value must be positive")
-        return fr.denominator // fr.numerator
-    if _terms_sign(value._terms) <= 0:
+    terms = _as_terms(value)
+    if _terms_sign(terms) <= 0:
         raise ValueError("value must be positive")
-    guess = int(1.0 / float(value))
-    # verify floor(1/v) = k, i.e. v <= 1/k and v > 1/(k+1), with exact compares
-    k = max(guess - 1, 0)
-    while True:
-        if k == 0 or value <= Fraction(1, k):
-            if value > Fraction(1, k + 1):
-                return k
-            k += 1
-        else:
-            k -= 1
+    # a bracket end x <= 0 maps to None, the upper end never does
+    return _decide(terms, lambda x: math.floor(1 / x) if x > 0 else None)
+
+
+def _log_bracket(n: int, k: int) -> tuple[int, int]:
+    """Integers lo <= 2^k ln(n) <= hi for an integer n >= 1.
+
+    ln n = 2a atanh(1/3) + 2 atanh(z) for n = 2^a m, 1 <= m < 2 and
+    z = (m - 1)/(m + 1) < 1/3.  Each series sum_j z^(2j+1)/(2j+1) is summed
+    with its terms floored, up to the first term below 2^-k; the terms shrink
+    by z^2 <= 1/9 or more, so the tail from there is below 9/8 * 2^-k
+    (Brent and Zimmermann, Modern Computer Arithmetic, 2010, ch. 4)."""
+    a = n.bit_length() - 1
+    lo = hi = 0
+    for weight, num, den in ((2 * a, 1, 3), (2, n - (1 << a), n + (1 << a))):
+        part = j = 0
+        top, bottom = num << k, den  # 2^k num^(2j+1), den^(2j+1)
+        while term := top // (bottom * (2 * j + 1)):
+            part, j = part + term, j + 1
+            top, bottom = top * num * num, bottom * den * den
+        lo, hi = lo + weight * part, hi + weight * (part + j + 2)
+    return lo, hi
 
 
 def leq_reciprocal_log(value, n: int, base: str = "natural") -> bool:
@@ -296,26 +304,32 @@ def leq_reciprocal_log(value, n: int, base: str = "natural") -> bool:
 
     The factor 160 is fixed: it is the constant of the strong-coherence
     condition mu <= 1/(160 log N) and of the balanced certificate's
-    T <= |B|/(160 log q).  The right side is transcendental for integer n > 1 while
-    the left side is algebraic, so the comparison is decidable by interval
-    refinement.
+    T <= |B|/(160 log q).  When n = b^m the right side is 1/(160 m);
+    otherwise each (rational) end x of value's brackets is compared as
+    160 x ln n <= ln b (ln b = 1 for the natural base) on brackets of both
+    logs.
     """
     if n <= 1:
         raise ValueError("n must be > 1")
     if base not in _LOG_BASES:
         raise ValueError(f"unknown log base {base!r}")
-    terms = _as_terms(value)
-    if not terms:
+    b = _LOG_BASES[base]
+    if b and b ** (m := round(math.log(n, b))) == n:
+        return _decide(_as_terms(value), lambda x: x <= Fraction(1, 160 * m))
+
+    def below(x):  # for a rational x, so 160 x ln n != ln b
+        k = _FIRST_BITS
+        while x > 0:
+            log_lo, log_hi = _log_bracket(n, k)
+            b_lo, b_hi = _log_bracket(b, k) if b else (1 << k, 1 << k)
+            if 160 * x * log_hi < b_lo:
+                return True
+            if 160 * x * log_lo > b_hi:
+                return False
+            k *= 2
         return True
-    divisor = _LOG_BASES[base]
 
-    def difference(ctx):
-        log_n = ctx.log(ctx.mpf(n))
-        if divisor is not None:
-            log_n = log_n / ctx.log(ctx.mpf(divisor))
-        return _evaluate(terms, ctx) - ctx.mpf(1) / (ctx.mpf(160) * log_n)
-
-    return _refined_sign(difference, "value from 1/(160*log n)") < 0
+    return _decide(_as_terms(value), below)
 
 
 def exact_leq(a, b) -> bool:

@@ -44,6 +44,7 @@ line splitting accept, such as "+1", "01", "1_0" or "\\r\\n" endings.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -469,17 +470,15 @@ def average_coherence(M: MeasurementMatrix, mode: str = "absolute",
 
 def welch_bound(n: int, N: int) -> float:
     """sqrt(N / (n (N - n))), the universal coherence lower bound."""
-    if N <= n:
-        raise DegenerateShape(f"Welch bound needs N > n, got n={n}, N={N}")
-    if n < 1:
-        raise DegenerateShape("n must be >= 1")
-    return float(np.sqrt(N / (n * (N - n))))
+    return math.sqrt(welch_bound_squared(n, N))
 
 
 def welch_bound_squared(n: int, N: int) -> Fraction:
     """Exact square of the Welch bound, for bit-exact comparisons."""
     if N <= n:
         raise DegenerateShape(f"Welch bound needs N > n, got n={n}, N={N}")
+    if n < 1:
+        raise DegenerateShape("n must be >= 1")
     return Fraction(N, n * (N - n))
 
 

@@ -296,9 +296,13 @@ def _replay_changed(*runs, **changes):
     _replay_changed(_RECORDED_RUNS["pipeline"], analyze="yes"),
     _replay_changed(_RECORDED_RUNS["construct"], r=None),
     _replay_changed(_RECORDED_RUNS["construct"], bogus=1),
+    _replay_changed(_RECORDED_RUNS["construct"], out="a\u0000b"),
+    _replay_changed(_RECORDED_RUNS["construct"], _RECORDED_RUNS["sign"],
+                    _RECORDED_RUNS["analyze"], infile="a\u0000b"),
 ], ids=["manifest-without-subcommand", "manifest-without-arguments",
         "sidecar-sign-scheme-string", "pair-cap-many", "field-7", "k-7",
-        "scheme-null", "analyze-yes", "r-null", "extra-argument"])
+        "scheme-null", "analyze-yes", "r-null", "extra-argument", "out-nul",
+        "infile-nul"])
 def test_ill_typed_manifests_and_sidecars_exit_2(tmp_path, capsys, setup):
     argv = setup(tmp_path)
     files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
@@ -701,11 +705,18 @@ def test_malformed_field_and_numbers_exit_2(tmp_path, capsys):
             "--out", str(out))
     assert run_cli("recover", "--matrix", str(out), "--k", "1..x",
                    "--trials", "2", "--out", str(tmp_path / "r.json")) == 2
-    for scheme in ("random:x", ""):
-        assert run_cli("pipeline", "--family", "devore", "--field", "3",
-                       "--r", "2", "--sign-scheme", scheme,
+    # a sign scheme is checked before the pipeline writes anything
+    family = {"devore": ["--field", "3", "--r", "2"],
+              "consta-point": ["--field", "5", "--t", "2", "--points", "0,1,2"]}
+    for name, scheme in [("devore", "bogus"), ("devore", "random:x"),
+                         ("devore", ""), ("consta-point", "balanced")]:
+        assert run_cli("pipeline", "--family", name, *family[name],
+                       "--sign-scheme", scheme,
                        "--out-dir", str(tmp_path / "p")) == 2
-    assert "unknown sign scheme ''" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists(), (name, scheme)
+    err = capsys.readouterr().err
+    assert "unknown sign scheme ''" in err
+    assert "no evaluation design for family 'consta-point'" in err
 
 
 def test_balanced_certificate_reuses_report_numbers(tmp_path, monkeypatch):

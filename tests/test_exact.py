@@ -1,20 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from agrip.constructions import construction_a_simple_poles
+import agrip
 from agrip.exact import (
     SurdSum,
+    exact_decimal,
     exact_leq,
     exact_ratio_sqrt,
     floor_reciprocal,
     leq_reciprocal_log,
     squarefree_decompose,
 )
-from agrip.fields import make_field
-from agrip.matrix import coherence_report
 
 
 def test_squarefree_decompose():
@@ -111,24 +114,132 @@ def test_abs_and_neg():
     assert abs(SurdSum.from_fraction(-3)) == Fraction(3)
 
 
-def test_reports_never_set_the_global_mpmath_precision(monkeypatch):
-    """Exact comparisons, thresholds and decimals run in private contexts of
-    fixed precision, so a report writes no precision of mpmath.mp or
-    mpmath.iv, which worker threads would share."""
-    writes = []
-    for cls in (type(mpmath.mp), type(mpmath.iv)):
-        for name in ("prec", "dps"):
-            prop = getattr(cls, name)
+# mpmath is a test-only oracle: a private context at 150 digits, far more
+# than any value below needs to be told from its neighbours
+_MP = mpmath.MPContext()
+_MP.dps = 150
+_RADICANDS = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 30, 105, 1001]
 
-            def recording(ctx, value, prop=prop, name=name):
-                if ctx is mpmath.mp or ctx is mpmath.iv:
-                    writes.append((type(ctx).__name__, name, value))
-                prop.fset(ctx, value)
 
-            monkeypatch.setattr(cls, name, property(prop.fget, recording))
-    # mixed squared norms: the omegas are surd sums compared by intervals
-    M = construction_a_simple_poles(make_field(5), [0, 1], [2, 3, 4])
-    report = coherence_report(M)
-    assert isinstance(report.omega_signed, SurdSum)
-    assert report.to_dict()["omega_signed"]["decimal"]
-    assert writes == []
+def _oracle(value):
+    return sum((_MP.mpf(c.numerator) / c.denominator * _MP.sqrt(r)
+                for r, c in value.terms()), _MP.mpf(0))
+
+
+def _sqrt2_convergent(i):
+    """(p, q) with p/q the i-th convergent of sqrt(2): 1/1, 3/2, 7/5, ..."""
+    p, q = 1, 1
+    for _ in range(i):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def _near_cancellation(i, scale):
+    """scale (p - q sqrt(2)) for the i-th convergent p/q, about
+    scale/(2 sqrt(2) q) from zero."""
+    p, q = _sqrt2_convergent(i)
+    return SurdSum({1: scale * p, 2: -scale * q})
+
+
+coefficients = st.fractions(min_value=-10 ** 9, max_value=10 ** 9,
+                            max_denominator=10 ** 9).filter(bool)
+surd_sums = st.one_of(
+    st.dictionaries(st.sampled_from(_RADICANDS), coefficients, min_size=1,
+                    max_size=5).map(SurdSum),
+    st.builds(_near_cancellation, st.integers(0, 60), coefficients))
+
+
+@settings(max_examples=50, deadline=None)
+@given(surd_sums)
+def test_signs_and_floats_match_a_150_digit_oracle(value):
+    exact = _oracle(value)
+    assert (value > 0, value < 0) == (exact > 0, exact < 0)
+    assert float(value) == float(exact)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(surd_sums, coefficients.map(SurdSum.from_fraction)))
+def test_exact_decimal_matches_a_150_digit_oracle(value):
+    if value.is_rational:  # an exact 13th-digit tie is not the oracle's case
+        x = abs(value.as_fraction())
+        e = math.floor(math.log10(x))  # the leading digit's place, or next to it
+        assume(all(x * Fraction(10) ** (11 - e + d) % 1 != Fraction(1, 2)
+                   for d in (-1, 0, 1)))
+    assert exact_decimal(value) == _MP.nstr(_oracle(value), 12)
+
+
+_THRESHOLD_N = [2, 3, 10, 125, 4096, 65536]
+_BASES = {"natural": None, "base2": 2, "base10": 10}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(_THRESHOLD_N), st.sampled_from(sorted(_BASES)),
+       st.integers(15, 60), st.integers(-1000, 1000).filter(bool),
+       st.one_of(st.none(), surd_sums))
+def test_threshold_verdicts_match_a_150_digit_oracle(n, base, digits, step,
+                                                     surd):
+    log_n = _MP.log(n) if _BASES[base] is None else _MP.log(n, _BASES[base])
+    threshold = 1 / (160 * log_n)
+    if surd is None:  # a rational within 10^-15 of the threshold
+        near = Fraction(int(_MP.floor(threshold * 10 ** 40)), 10 ** 40)
+        value = SurdSum.from_fraction(near + Fraction(step, 10 ** digits))
+    else:
+        value = surd
+    assert leq_reciprocal_log(value, n, base) == (_oracle(value) <= threshold)
+
+
+def test_sign_of_a_383_digit_near_cancellation():
+    p, q = _sqrt2_convergent(1000)
+    assert len(str(p)) == 383
+    assert SurdSum({1: p, 2: -q}) < 0
+    assert SurdSum({1: -p, 2: q}) > 0
+
+
+def test_thresholds_at_exact_powers_of_the_base():
+    # log2 4096 = 12 and log10 1000 = 3: the right sides are 1/1920, 1/480
+    assert leq_reciprocal_log(Fraction(1, 1920), 4096, "base2")
+    assert not leq_reciprocal_log(Fraction(1, 1920) + Fraction(1, 10 ** 30),
+                                  4096, "base2")
+    assert leq_reciprocal_log(Fraction(1, 480), 1000, "base10")
+    assert not leq_reciprocal_log(SurdSum({2: Fraction(1, 678)}), 1000,
+                                  "base10")  # sqrt(2)/678 > 1/480
+
+
+def test_float_is_correctly_rounded_under_cancellation():
+    assert float(SurdSum({1: 2140758220993, 2: -1513744654945})) == \
+        -2.335621066857671e-13
+
+
+def test_exact_decimal_rounds_ties_away_from_zero():
+    assert exact_decimal(Fraction(-30689956301, 80)) == "-383624453.763"
+    assert exact_decimal(Fraction(1, 2 ** 18)) == "3.81469726563e-6"
+    assert exact_decimal(Fraction(10 ** 12)) == "1.0e+12"
+    assert exact_decimal(3) == "3.0"
+    assert exact_decimal(Fraction(0)) == "0.0"
+    assert exact_decimal(Fraction(99999999999995, 10 ** 13)) == "10.0"
+
+
+_MIXED_NORM_REPORT = """
+import json, sys
+import agrip.cli
+from agrip.constructions import construction_a_simple_poles
+from agrip.fields import make_field
+from agrip.matrix import coherence_report
+
+# mixed squared norms: the omegas are surd sums, compared and rendered
+M = construction_a_simple_poles(make_field(5), [0, 1], [2, 3, 4])
+report = coherence_report(M).to_dict()
+print(json.dumps([report["omega_signed"]["surd_terms"] != [],
+                  sorted(m for m in sys.modules if m.split(".")[0] == "mpmath")]))
+"""
+
+
+def test_reports_never_import_mpmath():
+    """mpmath is a test-only oracle: in a fresh process, importing the CLI
+    and rendering a mixed-norm report leave it unloaded."""
+    src = os.path.dirname(os.path.dirname(agrip.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _MIXED_NORM_REPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[true, []]"

@@ -31,13 +31,17 @@ _LOG_BASES = {"natural": None, "base2": 2, "base10": 10}
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Return (a, b) with n = a**2 * b and b squarefree, for n >= 1."""
+    """Return (a, b) with n = a**2 * b and b squarefree, for n >= 1.
+
+    Trial division stops once d^3 exceeds the cofactor m: every prime of m
+    is then at least d, so m is 1, p, pq or p^2, and an isqrt tells p^2
+    from the squarefree rest."""
     if n <= 0:
         raise ValueError("radicand must be positive")
     a, b = 1, 1
     m = n
     d = 2
-    while d * d <= m:
+    while d * d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -47,14 +51,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 b *= d
         d += 1 if d == 2 else 2
-    b *= m
-    return a, b
+    r = math.isqrt(m)
+    return (a * r, b) if r * r == m else (a, b * m)
 
 
 def _as_terms(value):
     """Coerce int | Fraction | SurdSum to a radicand->coefficient dict."""
     if isinstance(value, SurdSum):
-        return dict(value._terms)
+        return value._terms
     fr = Fraction(value)
     return {1: fr} if fr else {}
 
@@ -112,7 +116,8 @@ def _spell(x: Fraction) -> str:
 
 
 class SurdSum:
-    """Exact number of the form sum_r c_r * sqrt(r), r squarefree positive."""
+    """Exact number sum_r c_r * sqrt(r), r squarefree positive: the
+    constructor factors its radicands once, and arithmetic keeps that form."""
 
     __slots__ = ("_terms",)
 
@@ -129,15 +134,19 @@ class SurdSum:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, value) -> "SurdSum":
-        return cls({1: Fraction(value)})
+    def _canonical(cls, terms) -> "SurdSum":
+        """The sum of terms that need no factoring: squarefree radicands,
+        Fraction coefficients.  Zero terms are dropped."""
+        out = cls.__new__(cls)
+        out._terms = {r: c for r, c in terms.items() if c}
+        return out
 
     @classmethod
     def ratio_sqrt(cls, num, den_radicand: int) -> "SurdSum":
         """The value num / sqrt(den_radicand), den_radicand a positive int."""
         sq, sf = squarefree_decompose(den_radicand)
         # num / (sq * sqrt(sf)) = num * sqrt(sf) / (sq * sf)
-        return cls({sf: Fraction(num) / (sq * sf)})
+        return cls._canonical({sf: Fraction(num) / (sq * sf)})
 
     # -- queries ----------------------------------------------------------
 
@@ -164,7 +173,7 @@ class SurdSum:
         terms = dict(self._terms)
         for rad, coeff in _as_terms(other).items():
             terms[rad] = terms.get(rad, Fraction(0)) + sign * coeff
-        return SurdSum(terms)
+        return SurdSum._canonical(terms)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -178,43 +187,39 @@ class SurdSum:
         return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return SurdSum({r: -c for r, c in self._terms.items()})
+        return SurdSum._canonical({r: -c for r, c in self._terms.items()})
 
     def __abs__(self):
         return -self if _terms_sign(self._terms) < 0 else self
 
     def __mul__(self, scalar):
         if isinstance(scalar, SurdSum):
+            # sqrt(r1) sqrt(r2) = g sqrt((r1/g)(r2/g)), g = gcd(r1, r2); the
+            # two cofactors are coprime and squarefree, so is their product
             out = {}
             for r1, c1 in self._terms.items():
                 for r2, c2 in scalar._terms.items():
-                    s = SurdSum({r1 * r2: c1 * c2})
-                    for r, c in s._terms.items():
-                        out[r] = out.get(r, Fraction(0)) + c
-            return SurdSum(out)
+                    g = math.gcd(r1, r2)
+                    r = r1 // g * (r2 // g)
+                    out[r] = out.get(r, Fraction(0)) + c1 * c2 * g
+            return SurdSum._canonical(out)
         fr = Fraction(scalar)
-        return SurdSum({r: c * fr for r, c in self._terms.items()})
+        return SurdSum._canonical({r: c * fr for r, c in self._terms.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         fr = Fraction(scalar)
-        return SurdSum({r: c / fr for r, c in self._terms.items()})
+        return SurdSum._canonical({r: c / fr for r, c in self._terms.items()})
 
     def times_sqrt(self, m: int) -> "SurdSum":
         """Exact product with sqrt(m), m a positive integer."""
-        if m <= 0:
-            raise ValueError("radicand must be positive")
-        return SurdSum({r * m: c for r, c in self._terms.items()})
+        return self * SurdSum({m: 1})
 
     # -- comparisons -------------------------------------------------------
 
     def _diff_sign(self, other) -> int:
-        terms = dict(self._terms)
-        for rad, coeff in _as_terms(other).items():
-            terms[rad] = terms.get(rad, Fraction(0)) - coeff
-        terms = {r: c for r, c in terms.items() if c}
-        return _terms_sign(terms)
+        return _terms_sign(self._combine(other, -1)._terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, SurdSum)):

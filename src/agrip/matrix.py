@@ -67,7 +67,6 @@ from .exact import (
     as_exact,
     exact_decimal,
     exact_leq,
-    exact_ratio_sqrt,
     floor_reciprocal,
     leq_reciprocal_log,
 )
@@ -391,36 +390,30 @@ def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
     not checked.  Column 0 is the zero function, and every |row f| of G is
     a permutation of |row 0| that fixes the diagonal (see the module
     docstring), so pair_max is max_g |G_0g| and every absolute row sum is
-    sum_g |G_0g|, g != 0.  The signed row sums are A^T (A 1) less the
-    diagonal c, as for any matrix (_signed_sums with one group); Gram row 0
-    is A^T of column 0, so one _transpose_products call takes both.
+    sum_g |G_0g|, g != 0.  The signed row sums are _signed_sums with one
+    group, as for any matrix; Gram row 0 is A^T of column 0, one
+    _transpose_products row.
     """
     _check_gram_input(M)
     c = M.sqnorms()
-    X = np.zeros((2, M.n), dtype=np.int64)  # column 0 and A 1, exact in int64
-    X[0] = _densify(M.n, M.indptr[:2], M.indices, M.data)[:, 0]
-    np.add.at(X[1], M.indices, M.data)
-    row0, signed = _transpose_products(M, X)
-    row0 = np.abs(row0)
+    column0 = _densify(M.n, M.indptr[:2], M.indices, M.data).T
+    row0 = np.abs(_transpose_products(M, column0)[0])
     row0[0] = 0
-    return _GramScan(c[:1], c, (signed - c)[:, None],
+    return _GramScan(c[:1], c, _signed_sums(M, np.zeros(M.N, np.int64), 1),
                      np.full((M.N, 1), row0.sum()),
                      row0.max(keepdims=True)[:, None])
 
 
 def _coherence_from(scan: _GramScan):
     values = scan.values.tolist()
-    best = (0, 1)  # (|G_ij|, c_i c_j) with |G_ij|^2 / (c_i c_j) maximal
+    weights = [SurdSum.ratio_sqrt(1, c) for c in values]  # 1 / sqrt(c)
+    best = (0, 1, 0, 0)  # (|G_ij|, c_u c_v, u, v), |G_ij|^2 / (c_u c_v) maximal
     for u, cu in enumerate(values):
         for v, cv in enumerate(values):
             ip = int(scan.pair_max[u, v])
             if ip * ip * best[1] > best[0] * best[0] * cu * cv:
-                best = (ip, cu * cv)
-    if best[0] == 0:
-        return Fraction(0)
-    if len(values) == 1:
-        return Fraction(best[0], values[0])
-    return exact_ratio_sqrt(*best)
+                best = (ip, cu * cv, u, v)
+    return as_exact(best[0] * weights[best[2]] * weights[best[3]])
 
 
 def _average_coherence_from(scan: _GramScan, mode: str):
@@ -429,14 +422,15 @@ def _average_coherence_from(scan: _GramScan, mode: str):
     values = scan.values.tolist()
     if len(values) == 1:
         return Fraction(int(np.abs(S[:, 0]).max()), values[0] * (N - 1))
+    weights = [SurdSum.ratio_sqrt(1, c) for c in values]  # 1 / sqrt(c)
+    pair = [[w * wi for w in weights] for wi in weights]  # 1 / sqrt(v c_i)
     # score_i = sum_v S[i,v] / sqrt(v c_i) depends on the row only through
     # (S[i,:], c_i), so each distinct row (in lexsort order) is summed once
-    rows = np.column_stack([S, scan.sqnorms])
+    rows = np.column_stack([S, np.searchsorted(scan.values, scan.sqnorms)])
     rows = rows[np.lexsort(rows.T)]
     best = None
-    for *sums, ci in rows[np.r_[True, (rows[1:] != rows[:-1]).any(1)]].tolist():
-        total = sum((SurdSum.ratio_sqrt(s, v * ci)
-                     for s, v in zip(sums, values)), SurdSum())
+    for *sums, i in rows[np.r_[True, (rows[1:] != rows[:-1]).any(1)]].tolist():
+        total = sum((w * s for s, w in zip(sums, pair[i])), SurdSum())
         if mode == "signed":
             total = abs(total)
         if best is None or total > best:

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,24 @@ def test_analyze_identity_strong_coherent(tmp_path, capsys):
     assert report["sparsity_bound"] == 3
     assert report["strong_coherence"]["cond1"] is True
     assert report["strong_coherence"]["cond2"] is True
+
+
+def test_analyze_prime_squared_norms_near_2_24(tmp_path, capsys):
+    """Squared norms 4096^2 + 11^2 and 4103^2 + 8^2 are the primes
+    16 777 337 and 16 834 673: mu is 16 805 888 / sqrt(pq), and neither pq
+    nor its square may be trial-divided."""
+    path = tmp_path / "primes.agrip"
+    path.write_text("AGRIP-SPARSE 1 3 3 6\n0 0 4096\n0 1 11\n1 0 4103\n"
+                    "1 2 8\n2 1 1\n2 2 1\n")
+    start = time.perf_counter()
+    assert run_cli("analyze", "--in", str(path)) == 0
+    assert time.perf_counter() - start < 2
+    mu = json.loads(capsys.readouterr().out)["mu"]
+    pq = 16_777_337 * 16_834_673
+    assert mu["squared"] == {"num": 16_805_888 ** 2, "den": pq}
+    assert mu["surd_terms"] == [{"radicand": pq, "num": 16_805_888,
+                                 "den": pq}]
+    assert mu["decimal"] == "0.999994493105"
 
 
 def test_analyze_truncated_file_exits_2(tmp_path, capsys):

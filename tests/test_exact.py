@@ -29,6 +29,42 @@ def test_squarefree_decompose():
         a, b = squarefree_decompose(n)
         assert a * a * b == n
         assert all(b % (d * d) for d in range(2, int(math.isqrt(b)) + 1))
+    # primes near 2^24: p^2 and pq are told apart after ~256 divisions
+    p, q = 16_777_337, 16_834_673
+    assert squarefree_decompose(p * p) == (p, 1)
+    assert squarefree_decompose(p * q) == (1, p * q)
+    assert squarefree_decompose(p * p * 12) == (2 * p, 3)
+    with pytest.raises(ValueError, match="positive"):
+        squarefree_decompose(0)
+
+
+def _decompose_to_the_square_root(n):
+    """(a, b), n = a^2 b, b squarefree, by trial division up to sqrt(n)."""
+    a, b, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            a, n = a * d, n // (d * d)
+        if n % d == 0:
+            b, n = b * d, n // d
+        d += 1
+    return a, b * n
+
+
+_PRIMES = [p for p in range(2, 3000)
+           if all(p % d for d in range(2, math.isqrt(p) + 1))]
+_near_primes = st.integers(0, len(_PRIMES) - 3).flatmap(  # 3 close primes
+    lambda k: st.lists(st.sampled_from(_PRIMES[k:k + 3]), min_size=1,
+                       max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(lambda a, b: a * a * b, st.integers(1, 10 ** 4),
+              st.integers(1, 10 ** 6)),
+    st.sampled_from(_PRIMES).map(lambda p: p * p),
+    _near_primes.map(math.prod)))  # p, pq, p^2, pqr, p^2 q, p^3
+def test_squarefree_decompose_matches_a_square_root_bound(n):
+    assert squarefree_decompose(n) == _decompose_to_the_square_root(n)
 
 
 def test_ratio_sqrt_rational_cases():
@@ -71,11 +107,14 @@ def test_sum_ordering_with_mixed_radicands():
 
 
 def test_times_sqrt_and_scalars():
-    v = SurdSum.from_fraction(Fraction(1, 3)).times_sqrt(9)
+    v = SurdSum({1: Fraction(1, 3)}).times_sqrt(9)
     assert v == Fraction(1)
     w = SurdSum.ratio_sqrt(1, 3).times_sqrt(3)
     assert w == Fraction(1)
     assert (SurdSum({2: 1}) * Fraction(1, 2)) * 2 == SurdSum({2: 1})
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            SurdSum({2: 1}).times_sqrt(m)
     assert SurdSum({2: 1}) / 2 == SurdSum({2: Fraction(1, 2)})
 
 
@@ -111,7 +150,7 @@ def test_abs_and_neg():
     v = SurdSum({2: -1})
     assert abs(v) == SurdSum({2: 1})
     assert -v == abs(v)
-    assert abs(SurdSum.from_fraction(-3)) == Fraction(3)
+    assert abs(SurdSum({1: -3})) == Fraction(3)
 
 
 # mpmath is a test-only oracle: a private context at 150 digits, far more
@@ -149,6 +188,34 @@ surd_sums = st.one_of(
     st.builds(_near_cancellation, st.integers(0, 60), coefficients))
 
 
+wide_sums = st.dictionaries(
+    st.integers(1, 10 ** 4),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 999)),
+    max_size=4).map(SurdSum)
+
+
+def _naive(*terms):
+    """SurdSum of (radicand, coefficient) pairs, canonicalized in full."""
+    out = {}
+    for r, c in terms:
+        out[r] = out.get(r, 0) + c
+    return SurdSum(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_sums, wide_sums, st.integers(1, 10 ** 6))
+def test_arithmetic_is_the_canonical_form_of_the_naive_terms(x, y, m):
+    cases = [
+        (x * y, _naive(*((r1 * r2, c1 * c2) for r1, c1 in x.terms()
+                         for r2, c2 in y.terms()))),
+        (x + y, _naive(*x.terms(), *y.terms())),
+        (x - y, _naive(*x.terms(), *((r, -c) for r, c in y.terms()))),
+        (x.times_sqrt(m), _naive(*((r * m, c) for r, c in x.terms()))),
+    ]
+    for got, want in cases:
+        assert got.terms() == want.terms()
+
+
 @settings(max_examples=50, deadline=None)
 @given(surd_sums)
 def test_signs_and_floats_match_a_150_digit_oracle(value):
@@ -158,7 +225,7 @@ def test_signs_and_floats_match_a_150_digit_oracle(value):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.one_of(surd_sums, coefficients.map(SurdSum.from_fraction)))
+@given(st.one_of(surd_sums, coefficients.map(lambda x: SurdSum({1: x}))))
 def test_exact_decimal_matches_a_150_digit_oracle(value):
     if value.is_rational:  # an exact 13th-digit tie is not the oracle's case
         x = abs(value.as_fraction())
@@ -182,7 +249,7 @@ def test_threshold_verdicts_match_a_150_digit_oracle(n, base, digits, step,
     threshold = 1 / (160 * log_n)
     if surd is None:  # a rational within 10^-15 of the threshold
         near = Fraction(int(_MP.floor(threshold * 10 ** 40)), 10 ** 40)
-        value = SurdSum.from_fraction(near + Fraction(step, 10 ** digits))
+        value = SurdSum({1: near + Fraction(step, 10 ** digits)})
     else:
         value = surd
     assert leq_reciprocal_log(value, n, base) == (_oracle(value) <= threshold)

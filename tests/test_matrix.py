@@ -14,7 +14,7 @@ from agrip.errors import (
     SingleColumn,
     ZeroCoherence,
 )
-from agrip.exact import SurdSum
+from agrip.exact import SurdSum, as_exact
 from agrip.fields import make_field
 from agrip.constructions import (
     construction_a_simple_poles,
@@ -101,7 +101,7 @@ def test_omega_mixed_norms_is_exact_surd():
     # scores: col0 = col1 = 1/2 + 2/sqrt6 ~ 1.317, col2 = 4/sqrt6 ~ 1.633
     omega = average_coherence(M, "absolute")
     assert omega == SurdSum.ratio_sqrt(4, 6) / 2
-    assert omega > (SurdSum.from_fraction(Fraction(1, 2))
+    assert omega > (SurdSum({1: Fraction(1, 2)})
                     + SurdSum.ratio_sqrt(2, 6)) / 2
 
 
@@ -193,6 +193,53 @@ def test_report_serializes_multi_term_surd_omega():
     assert rebuilt == average_coherence(M, "signed")
 
 
+def test_report_factors_only_single_squared_norms(monkeypatch):
+    """The exact finalize takes 1/sqrt(c) once per distinct squared norm c
+    and multiplies surds by gcd, so no product of two norms (or a square)
+    is ever trial-divided; the verdict's mu/sqrt(n) factors n."""
+    import agrip.exact
+    seen = []
+    real = agrip.exact.squarefree_decompose
+    monkeypatch.setattr(agrip.exact, "squarefree_decompose",
+                        lambda n: seen.append(n) or real(n))
+    M = construction_a_simple_poles(make_field(7), ["0", "3", "inf"],
+                                    ["1", "2", "4", "5", "6"])
+    coherence_report(M).to_dict()
+    norms = set(M.sqnorms().tolist())
+    assert len(norms) > 1 and seen
+    assert set(seen) <= norms | {M.n}
+
+
+def _omega_row_by_row(scan, mode):
+    """The ω finalize as defined: every row's sum of S[i,v] / sqrt(v c_i)."""
+    S = scan.signed if mode == "signed" else scan.absolute
+    values = scan.values.tolist()
+    best = None
+    for sums, ci in zip(S.tolist(), scan.sqnorms.tolist()):
+        total = sum((SurdSum.ratio_sqrt(s, v * ci)
+                     for s, v in zip(sums, values)), SurdSum())
+        total = abs(total) if mode == "signed" else total
+        best = total if best is None or total > best else best
+    return as_exact(best / (scan.sqnorms.size - 1))
+
+
+@pytest.mark.parametrize("mode", ["signed", "absolute"])
+@pytest.mark.parametrize("seed", range(6))
+def test_omega_finalize_matches_the_row_by_row_sum(seed, mode):
+    """Seeded mixed-norm matrices whose repeated and negated columns tie
+    rows; value, type and repr must be those of the definition."""
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(-3, 4, (5, 8))
+    arr[0, ~arr.any(axis=0)] = 2  # no zero column
+    picks = rng.integers(0, 8, 4)
+    arr = np.column_stack([arr, arr[:, picks[:2]], -arr[:, picks[2:]]])
+    scan = _gram_scan(dense_to_matrix(arr), DEFAULT_PAIR_CAP)
+    assert scan.values.size > 1
+    got, want = _average_coherence_from(scan, mode), _omega_row_by_row(scan, mode)
+    assert got == want
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
 # -- invariance properties ----------------------------------------------------
 
 small_dense = st.integers(2, 5).flatmap(
@@ -235,7 +282,7 @@ def test_omega_signed_below_absolute(cols_nested):
     M = dense_to_matrix(arr)
     signed = average_coherence(M, "signed")
     absolute = average_coherence(M, "absolute")
-    sv = signed if isinstance(signed, SurdSum) else SurdSum.from_fraction(signed)
+    sv = signed if isinstance(signed, SurdSum) else SurdSum({1: signed})
     assert sv <= absolute
 
 

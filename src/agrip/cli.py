@@ -152,7 +152,7 @@ def _build_matrix(args):
         _require(args, "d1", "d2")
         design = cons.ruled_surface_design(field, args.d1, args.d2)
     else:  # toric, the last of the parser's choices
-        _require(args, "case", "d")
+        _require(args, "case", "d", *(("e", "rr") if args.case == 2 else ()))
         design = cons.toric_design(field, args.case, args.d, args.e, args.rr)
     return cons.evaluation_matrix(design), design
 
@@ -241,28 +241,12 @@ _ANALYZE_KEYS = ("family", "params", "field", "sign_scheme")
 _FUNCTION_SPACE_FAMILIES = ("devore", "projspace", "ruled", "toric")
 
 
-def _is_function_space(M, design) -> bool:
-    """Whether M is, array for array, the matrix its metadata names: the
-    unsigned evaluation matrix of design, or its balanced signing.  Only
-    such a matrix may skip the pairwise scan (see
-    matrix._function_space_scan)."""
-    if (design is None or M.N != design.num_columns
-            or M.N > cons.MATERIALIZE_CAP):
-        return False
-    kind = M.meta["sign_scheme"]["kind"]
-    if kind == "all_ones":
-        return M == cons.evaluation_matrix(design)
-    return kind == "balanced" and M == sg.balanced_matrix(design)
-
-
 def _analysis(M, args, design) -> dict:
     """The analyze payload: M's report, its sign scheme and, for balanced
     designs, the certificate; M.meta holds the sidecar's _ANALYZE_KEYS and
     design is the evaluation design they name, or None."""
-    report = mx.coherence_report(M, log_base=args.log_base,
-                                 omega_mode=args.omega_mode,
-                                 pair_cap=args.pair_cap,
-                                 function_space=_is_function_space(M, design))
+    report = mx.coherence_report(M, args.log_base, args.omega_mode,
+                                 args.pair_cap, design=design)
     payload = report.to_dict()
     if M.meta.get("sign_scheme") is not None:
         payload["sign_scheme"] = M.meta["sign_scheme"]
@@ -314,7 +298,7 @@ def cmd_verify(args) -> int:
         fast = None
         if design.num_columns <= cons.MATERIALIZE_CAP:
             fast = mx.coherence_report(cons.evaluation_matrix(design),
-                                       function_space=True).mu
+                                       design=design).mu
         results.append(ver.OracleResult("coherence_via_differences",
                                         args.design, oracle, fast))
     elif args.check == "rip":
@@ -383,8 +367,8 @@ def cmd_recover(args) -> int:
 
 def _with_meta(M, meta):
     """M's arrays under other metadata."""
-    return mx.MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices, M.data,
-                                         meta=meta, validate=False)
+    return mx.MeasurementMatrix._unchecked(M.n, M.N, M.indptr, M.indices,
+                                           M.data, meta=meta)
 
 
 def cmd_pipeline(args) -> int:

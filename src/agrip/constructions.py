@@ -295,9 +295,9 @@ def evaluation_matrix(design: EvaluationDesign) -> MeasurementMatrix:
     meta = {"family": design.family, "params": design.params,
             "field": design.field.descriptor, "sign_scheme": {"kind": "all_ones"},
             "column_support": B, "bound_on_zeros": design.bound_on_zeros}
-    return MeasurementMatrix.from_csc(
+    return MeasurementMatrix._unchecked(
         q * B, N, np.arange(N + 1) * B, np.concatenate(rows),
-        np.ones(N * B, dtype=np.int64), meta=meta, validate=False)
+        np.ones(N * B, dtype=np.int64), meta=meta)
 
 
 def _matrix_from_blocks(n: int, sizes, rows, values, meta) -> MeasurementMatrix:

@@ -27,9 +27,8 @@ F_2-linear in f's coefficients, so G_fg = sum over the zeros P of h = f + g
 of (-1)^pi_P(h).  Either way |row f| of G is a permutation of |row 0|, the
 zero function's, that fixes the diagonal.  _function_space_scan builds the
 same tuple from row 0 and one row-sum product, all O(nnz), and no pair cap
-applies.  The caller vouches for the structure (the CLI compares M with the
-matrix rebuilt from its sidecar); coherence_report(function_space=True)
-takes that path.
+applies.  coherence_report(M, design=d) takes it when M is, array for
+array, the matrix of d that M's sign scheme names (_is_function_space).
 
 On-disk format AGRIP-SPARSE, bit-exact:
     line 1: "AGRIP-SPARSE 1 <n> <N> <nnz>"
@@ -99,7 +98,7 @@ class MeasurementMatrix:
     and the nonzero values data[indptr[j]:indptr[j+1]]; no column is empty.
     The arrays are read-only, so matrices may share them.  The constructor
     concatenates a list of (rows, values) columns; from_csc takes the three
-    arrays without a copy and marks them read-only.
+    arrays without a copy and marks them read-only.  Both check the arrays.
     """
 
     __slots__ = ("n", "N", "indptr", "indices", "data", "meta", "_sqnorms")
@@ -112,17 +111,22 @@ class MeasurementMatrix:
         none = [np.zeros(0, dtype=np.int64)]
         self._store(n, N, np.cumsum([0] + [r.size for r, _ in cols]),
                     np.concatenate([r for r, _ in cols] + none),
-                    np.concatenate([v for _, v in cols] + none), meta,
-                    validate=True)
+                    np.concatenate([v for _, v in cols] + none), meta)
+        self._validate()
 
     @classmethod
-    def from_csc(cls, n: int, N: int, indptr, indices, data, meta=None,
-                 validate: bool = True) -> "MeasurementMatrix":
+    def from_csc(cls, n: int, N: int, indptr, indices, data,
+                 meta=None) -> "MeasurementMatrix":
+        return cls._unchecked(n, N, indptr, indices, data, meta)._validate()
+
+    @classmethod
+    def _unchecked(cls, n, N, indptr, indices, data, meta=None):
+        """from_csc unchecked, for arrays the package built or checked."""
         M = cls.__new__(cls)
-        M._store(n, N, indptr, indices, data, meta, validate)
+        M._store(n, N, indptr, indices, data, meta)
         return M
 
-    def _store(self, n, N, indptr, indices, data, meta, validate):
+    def _store(self, n, N, indptr, indices, data, meta):
         self.n, self.N = int(n), int(N)
         self.indptr, self.indices, self.data = (
             np.asarray(a, dtype=np.int64) for a in (indptr, indices, data))
@@ -130,8 +134,6 @@ class MeasurementMatrix:
             a.setflags(write=False)  # shared with other matrices
         self.meta = dict(meta or {})
         self._sqnorms = None
-        if validate:
-            self._validate()
 
     def _validate(self):
         if self.N < 1 or self.n < 1:
@@ -155,6 +157,7 @@ class MeasurementMatrix:
                  col[(rows < 0) | (rows >= self.n)])):
             if bad.size:
                 raise PreconditionError(message.format(bad[0]))
+        return self
 
     # -- views ------------------------------------------------------------
 
@@ -314,8 +317,8 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
     if M.N > pair_cap:
         raise PairScanCapExceeded(
             f"{M.N} columns exceed the pairwise cap {pair_cap}; raise the "
-            "cap explicitly (only unsigned or balanced function-space "
-            "matrices are reported without the pairwise scan)")
+            "cap, or skip the scan by passing the design of an unsigned or "
+            "balanced evaluation matrix: coherence_report(M, design=d)")
     order = np.argsort(M.sqnorms(), kind="stable")
     c = M.sqnorms()[order]
     values, column_group = np.unique(M.sqnorms(), return_inverse=True)
@@ -386,12 +389,12 @@ def _gram_scan(M: MeasurementMatrix, pair_cap: int) -> _GramScan:
 def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
     """The _gram_scan tuple of a function-space matrix, from Gram row 0.
 
-    M must be evaluation_matrix(design) or its balanced signing; this is
-    not checked.  Column 0 is the zero function, and every |row f| of G is
-    a permutation of |row 0| that fixes the diagonal (see the module
-    docstring), so pair_max is max_g |G_0g| and every absolute row sum is
-    sum_g |G_0g|, g != 0.  The signed row sums are _signed_sums with one
-    group, as for any matrix; Gram row 0 is A^T of column 0, one
+    M must be evaluation_matrix(design) or its balanced signing, as
+    coherence_report checks.  Column 0 is the zero function, and every
+    |row f| of G is a permutation of |row 0| that fixes the diagonal (see
+    the module docstring), so pair_max is max_g |G_0g| and every absolute
+    row sum is sum_g |G_0g|, g != 0.  The signed row sums are _signed_sums
+    with one group, as for any matrix; Gram row 0 is A^T of column 0, one
     _transpose_products row.
     """
     _check_gram_input(M)
@@ -402,6 +405,19 @@ def _function_space_scan(M: MeasurementMatrix) -> _GramScan:
     return _GramScan(c[:1], c, _signed_sums(M, np.zeros(M.N, np.int64), 1),
                      np.full((M.N, 1), row0.sum()),
                      row0.max(keepdims=True)[:, None])
+
+
+def _is_function_space(M: MeasurementMatrix, design) -> bool:
+    """Whether M is, array for array, evaluation_matrix(design) with sign
+    scheme all_ones or balanced_matrix(design) with balanced."""
+    # imported here, as both modules import this one
+    from .constructions import MATERIALIZE_CAP, evaluation_matrix
+    from .signs import balanced_matrix
+    if design is None or not M.N == design.num_columns <= MATERIALIZE_CAP:
+        return False
+    kind = (M.meta.get("sign_scheme") or {}).get("kind")
+    build = {"all_ones": evaluation_matrix, "balanced": balanced_matrix}
+    return kind in build and M == build[kind](design)
 
 
 def _coherence_from(scan: _GramScan):
@@ -569,16 +585,16 @@ class CoherenceReport:
 
 def coherence_report(M: MeasurementMatrix, log_base: str = "natural",
                      omega_mode: str = "signed",
-                     pair_cap: int = DEFAULT_PAIR_CAP,
-                     function_space: bool = False) -> CoherenceReport:
-    """The exact report from one scan: _gram_scan under pair_cap, or, when
-    the caller has established that M is a function-space matrix (see
-    _function_space_scan), the uncapped O(nnz) scan."""
+                     pair_cap: int = DEFAULT_PAIR_CAP, *,
+                     design=None) -> CoherenceReport:
+    """The exact report from one scan: the uncapped O(nnz)
+    _function_space_scan if M is the unsigned or balanced matrix of design
+    (_is_function_space), else _gram_scan under pair_cap."""
     if log_base not in _LOG_BASES:
         raise PreconditionError(f"unknown log base {log_base!r}")
     if omega_mode not in ("signed", "absolute"):
         raise PreconditionError(f"unknown omega mode {omega_mode!r}")
-    scan = (_function_space_scan(M) if function_space
+    scan = (_function_space_scan(M) if _is_function_space(M, design)
             else _gram_scan(M, pair_cap))
     mu = _coherence_from(scan)
     omega_signed = _average_coherence_from(scan, "signed")

@@ -200,8 +200,8 @@ def randomize_signs(M: MeasurementMatrix, seed: int) -> MeasurementMatrix:
     bits = _random_bits(int(seed), np.arange(M.N), np.diff(M.indptr))
     meta = dict(M.meta)
     meta["sign_scheme"] = {"kind": "random_pm1", "seed": int(seed)}
-    return MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices,
-                                      bits * 2 - 1, meta=meta, validate=False)
+    return MeasurementMatrix._unchecked(M.n, M.N, M.indptr, M.indices,
+                                        bits * 2 - 1, meta=meta)
 
 
 def expected_abs_inner_product(L: int) -> Fraction:
@@ -247,8 +247,8 @@ def balanced_matrix(design: EvaluationDesign) -> MeasurementMatrix:
     signs = 1 - 2 * (red ^ _column_parities(design, digits))
     meta = {**M.meta, "sign_scheme": {"kind": "balanced", "red_count": B // 2,
                                       "point_count": B}}
-    return MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices,
-                                      signs.ravel(), meta=meta, validate=False)
+    return MeasurementMatrix._unchecked(M.n, M.N, M.indptr, M.indices,
+                                        signs.ravel(), meta=meta)
 
 
 @dataclass

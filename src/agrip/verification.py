@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     SingleColumn,
 )
-from .exact import exact_ratio_sqrt
+from .exact import SurdSum, as_exact
 from .fields import FieldSpec
 from .matrix import MeasurementMatrix
 
@@ -94,7 +94,7 @@ def brute_force_coherence(M: MeasurementMatrix):
     cols = [dict(zip(rows[lo:hi], vals[lo:hi]))
             for lo, hi in zip(bounds, bounds[1:])]
     sqnorms = [sum(v * v for v in col.values()) for col in cols]
-    best = (0, 1)  # (|ip|, ci*cj) with |ip|^2/den maximal
+    best = (0, 1, 1)  # (|ip|, ci, cj) with |ip|^2/(ci cj) maximal
     for i in range(M.N):
         ci = cols[i]
         for j in range(i + 1, M.N):
@@ -106,12 +106,11 @@ def brute_force_coherence(M: MeasurementMatrix):
                 if other is not None:
                     ip += val * other
             ip = abs(ip)
-            den = sqnorms[i] * sqnorms[j]
-            if ip * ip * best[1] > best[0] * best[0] * den:
-                best = (ip, den)
-    if best[0] == 0:
-        return Fraction(0)
-    return exact_ratio_sqrt(best[0], best[1])
+            if (ip * ip * best[1] * best[2]
+                    > best[0] * best[0] * sqnorms[i] * sqnorms[j]):
+                best = (ip, sqnorms[i], sqnorms[j])
+    ip, ci, cj = best  # a root per norm: c_i c_j can be slow to factor
+    return as_exact(ip * SurdSum.ratio_sqrt(1, ci) * SurdSum.ratio_sqrt(1, cj))
 
 
 def coherence_via_differences(design: EvaluationDesign):

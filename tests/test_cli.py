@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from agrip.cli import main
 from agrip.fields import make_field
 from agrip.constructions import devore
 from agrip.matrix import read_sparse, write_sparse
+from agrip.verification import brute_force_coherence
 from tests.test_matrix import dense_to_matrix
 
 
@@ -36,6 +38,19 @@ def test_missing_required_family_argument_exits_1(tmp_path, capsys):
     code = run_cli("construct", "--family", "devore", "--field", "3",
                    "--out", str(tmp_path / "x.agrip"))
     assert code == 1
+
+
+@pytest.mark.parametrize("missing", ["--e", "--rr"])
+def test_toric_case_2_without_e_or_rr_exits_1(tmp_path, capsys, missing):
+    given = {"--e": "1", "--rr": "1"}
+    del given[missing]
+    family = ["--family", "toric", "--field", "5", "--case", "2", "--d", "1",
+              *[v for item in given.items() for v in item]]
+    assert run_cli("construct", *family, "--out", str(tmp_path / "t.agrip")) == 1
+    assert run_cli("pipeline", *family, "--out-dir", str(tmp_path / "p")) == 1
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.count(f"agrip: error: family 'toric' requires {missing}\n") == 2
 
 
 def test_missing_flag_exits_1(tmp_path):
@@ -412,6 +427,24 @@ def test_verify_coherence_jsonl(tmp_path, capsys):
     line = json.loads(capsys.readouterr().out.strip())
     assert line["agree"] is True
     assert line["oracle_value"] == {"num": 1, "den": 3}
+
+
+def test_verify_coherence_prime_squared_norms_near_2_40(tmp_path, capsys):
+    """Squared norms 1048576^2 + 25^2 and 1048583^2 + 40^2 are primes near
+    2^40; the oracle must not trial-divide their product."""
+    path = tmp_path / "primes.agrip"
+    path.write_text("AGRIP-SPARSE 1 3 3 6\n0 0 1048576\n0 1 25\n"
+                    "1 0 1048583\n1 2 40\n2 1 1\n2 2 1\n")
+    start = time.perf_counter()
+    assert run_cli("verify", "--check", "coherence", "--in", str(path)) == 0
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out)["agree"] is True
+    assert run_cli("analyze", "--in", str(path)) == 0
+    mu = json.loads(capsys.readouterr().out)["mu"]["squared"]
+    pq = 1_099_511_628_401 * 1_099_526_309_489
+    assert mu == {"num": (1_048_576 * 1_048_583) ** 2, "den": pq}
+    oracle = brute_force_coherence(read_sparse(path))
+    assert oracle.squared() == Fraction(mu["num"], mu["den"])
 
 
 def test_verify_diff_trick(tmp_path, capsys):

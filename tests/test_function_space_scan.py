@@ -3,7 +3,10 @@
 _function_space_scan must return the very tuple _gram_scan returns for the
 unsigned evaluation matrix of every F_q-linear design and for its balanced
 signing, p = 2 included; its mu must equal the difference trick.
+coherence_report(M, design=d) must take it for those two matrices only.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,14 +19,17 @@ from agrip.constructions import (
 )
 from agrip.errors import PreconditionError, RankDeficient
 from agrip.fields import make_field
+import agrip.matrix
 from agrip.matrix import (
     DEFAULT_PAIR_CAP,
+    MeasurementMatrix,
     _average_coherence_from,
     _coherence_from,
     _function_space_scan,
     _gram_scan,
+    coherence_report,
 )
-from agrip.signs import balanced_matrix
+from agrip.signs import balanced_matrix, randomize_signs
 from agrip.verification import coherence_via_differences
 
 # (family, (p, s), params): the designs the other test modules build whose
@@ -135,3 +141,41 @@ def test_function_space_scan_matches_the_oracle_on_random_designs(design):
     mu = coherence_via_differences(design)
     for _, M in _matrices(design):
         assert _coherence_from(_assert_scans_agree(M)) == mu
+
+
+def _with_arrays(M, data, meta):
+    return MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices, data,
+                                      meta=meta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_designs(), st.sampled_from(["unsigned", "balanced", "flipped",
+                                         "relabelled", "other", "random"]),
+       st.data())
+def test_coherence_report_takes_the_function_space_scan_for_its_design_only(
+        design, case, data):
+    unsigned, balanced = evaluation_matrix(design), balanced_matrix(design)
+    if case == "unsigned":
+        M = unsigned
+    elif case == "balanced":
+        M = balanced
+    elif case == "flipped":  # one sign of the balanced matrix flipped
+        signs = balanced.data.copy()
+        signs[data.draw(st.integers(0, signs.size - 1))] *= -1
+        M = _with_arrays(balanced, signs, balanced.meta)
+    elif case == "relabelled":  # the unsigned arrays labelled balanced
+        M = _with_arrays(unsigned, unsigned.data, balanced.meta)
+    elif case == "other":  # the same functions on the points reversed
+        M = evaluation_matrix(EvaluationDesign(
+            design.field, design.points[::-1], design.basis_names,
+            design.table[:, ::-1], design.bound_on_zeros, design.family,
+            design.params))
+    else:
+        M = randomize_signs(unsigned, data.draw(st.integers(0, 2 ** 32)))
+    own = {"all_ones": unsigned,
+           "balanced": balanced}.get(M.meta["sign_scheme"]["kind"])
+    with mock.patch.object(agrip.matrix, "_function_space_scan",
+                           wraps=_function_space_scan) as spy:
+        report = coherence_report(M, design=design).to_dict()
+    assert spy.called == (own is not None and M == own)
+    assert report == coherence_report(M).to_dict()

@@ -10,7 +10,7 @@ experiments.  See README.md for the CLI and file formats.
 __version__ = "0.1.0"
 
 from .errors import AgripError
-from .exact import SurdSum, exact_ratio_sqrt
+from .exact import SurdSum
 from .fields import (
     FieldSpec,
     extension_with_embedding,
@@ -51,7 +51,6 @@ from .signs import (
     BalancedCertificate,
     balanced_matrix,
     certify_strong_coherence,
-    expected_abs_inner_product,
     randomize_signs,
 )
 from .recovery import (

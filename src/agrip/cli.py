@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import AgripError, PreconditionError, UsageError
+from .errors import AgripError, NonBinaryInput, PreconditionError, UsageError
 from .fields import parse_descriptor
 from . import constructions as cons
 from . import matrix as mx
@@ -221,6 +221,8 @@ def cmd_sign(args) -> int:
         raise PreconditionError(
             f"{args.infile} is {M.n} x {M.N}, but {args.design} describes a "
             f"{sidecar.get('n')} x {sidecar.get('N')} matrix")
+    if scheme == "ones" and not M.is_binary():
+        raise NonBinaryInput(f"{args.infile} is not a 0/1 matrix")
     design = None
     if scheme == "balanced":
         design = _sidecar_design(sidecar)

@@ -304,9 +304,9 @@ def _matrix_from_blocks(n: int, sizes, rows, values, meta) -> MeasurementMatrix:
     """One matrix from per-block lists of column sizes, rows and values."""
     sizes, rows, values = (np.concatenate(parts + [np.zeros(0, dtype=np.int64)])
                            for parts in (sizes, rows, values))
-    return MeasurementMatrix.from_csc(n, sizes.size,
-                                      np.concatenate([[0], np.cumsum(sizes)]),
-                                      rows, values, meta=meta)
+    return MeasurementMatrix(n, sizes.size,
+                             np.concatenate([[0], np.cumsum(sizes)]),
+                             rows, values, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -635,27 +635,6 @@ def _scalar_class_rep_mask(q: int, m: int) -> np.ndarray:
     mask = np.zeros(q ** m, dtype=bool)
     for codes in scalar_class_codes(q, m):
         mask[codes.start::codes.step] = True
-    return mask
-
-
-def conic_symmetric_singular_mask(field: FieldSpec) -> np.ndarray:
-    """Classical cross-check for odd p: a conic is singular iff the
-    determinant of its symmetric coefficient matrix vanishes."""
-    if field.p == 2:
-        raise PreconditionError("symmetric-matrix test fails in characteristic 2")
-    q = field.q
-    digits = coefficient_digits(q, np.arange(q ** 6, dtype=np.int64), 6)
-    # monomial order: x^2, xy, xz, y^2, yz, z^2
-    a, d, e, b, f, c = (digits[:, t] for t in range(6))
-    mul, add, sub = field.np_mul, field.np_add, field.np_sub
-    two = np.int64(2 % field.p)
-    A2, B2, C2 = mul(two, a), mul(two, b), mul(two, c)
-    # det of [[2a, d, e], [d, 2b, f], [e, f, 2c]] by cofactor expansion
-    det = mul(A2, sub(mul(B2, C2), mul(f, f)))
-    det = add(det, mul(d, sub(mul(f, e), mul(d, C2))))
-    det = add(det, mul(e, sub(mul(d, f), mul(B2, e))))
-    mask = det == 0
-    mask[0] = True
     return mask
 
 

@@ -62,10 +62,6 @@ class DegenerateShape(PreconditionError):
     pass
 
 
-class ZeroCoherence(PreconditionError):
-    """Coherence is zero, so the sparsity bound is vacuous."""
-
-
 class PairScanCapExceeded(CapExceeded):
     pass
 

@@ -212,10 +212,6 @@ class SurdSum:
         fr = Fraction(scalar)
         return SurdSum._canonical({r: c / fr for r, c in self._terms.items()})
 
-    def times_sqrt(self, m: int) -> "SurdSum":
-        """Exact product with sqrt(m), m a positive integer."""
-        return self * SurdSum({m: 1})
-
     # -- comparisons -------------------------------------------------------
 
     def _diff_sign(self, other) -> int:
@@ -257,11 +253,6 @@ class SurdSum:
         parts = [f"{c}*sqrt({r})" if r != 1 else f"{c}"
                  for r, c in sorted(self._terms.items())]
         return "SurdSum(" + " + ".join(parts) + ")"
-
-
-def exact_ratio_sqrt(num: int, den_radicand: int) -> Fraction | SurdSum:
-    """num / sqrt(den_radicand) as a Fraction when exact, else a SurdSum."""
-    return as_exact(SurdSum.ratio_sqrt(num, den_radicand))
 
 
 def as_exact(value) -> Fraction | SurdSum:

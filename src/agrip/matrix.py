@@ -58,7 +58,6 @@ from .errors import (
     PairScanCapExceeded,
     PreconditionError,
     SingleColumn,
-    ZeroCoherence,
 )
 from .exact import (
     _LOG_BASES,
@@ -96,32 +95,19 @@ class MeasurementMatrix:
 
     Column j has the strictly increasing rows indices[indptr[j]:indptr[j+1]]
     and the nonzero values data[indptr[j]:indptr[j+1]]; no column is empty.
-    The arrays are read-only, so matrices may share them.  The constructor
-    concatenates a list of (rows, values) columns; from_csc takes the three
-    arrays without a copy and marks them read-only.  Both check the arrays.
+    The constructor checks the three arrays and marks them read-only, so
+    matrices may share them; int64 arrays are taken without a copy.
     """
 
     __slots__ = ("n", "N", "indptr", "indices", "data", "meta", "_sqnorms")
 
-    def __init__(self, n: int, N: int, columns, meta=None):
-        cols = [(np.asarray(r, dtype=np.int64), np.asarray(v, dtype=np.int64))
-                for r, v in columns]
-        if any(r.shape != v.shape or r.ndim != 1 for r, v in cols):
-            raise PreconditionError("malformed column arrays")
-        none = [np.zeros(0, dtype=np.int64)]
-        self._store(n, N, np.cumsum([0] + [r.size for r, _ in cols]),
-                    np.concatenate([r for r, _ in cols] + none),
-                    np.concatenate([v for _, v in cols] + none), meta)
+    def __init__(self, n: int, N: int, indptr, indices, data, meta=None):
+        self._store(n, N, indptr, indices, data, meta)
         self._validate()
 
     @classmethod
-    def from_csc(cls, n: int, N: int, indptr, indices, data,
-                 meta=None) -> "MeasurementMatrix":
-        return cls._unchecked(n, N, indptr, indices, data, meta)._validate()
-
-    @classmethod
     def _unchecked(cls, n, N, indptr, indices, data, meta=None):
-        """from_csc unchecked, for arrays the package built or checked."""
+        """The constructor, unchecked: for arrays the package built or checked."""
         M = cls.__new__(cls)
         M._store(n, N, indptr, indices, data, meta)
         return M
@@ -157,7 +143,6 @@ class MeasurementMatrix:
                  col[(rows < 0) | (rows >= self.n)])):
             if bad.size:
                 raise PreconditionError(message.format(bad[0]))
-        return self
 
     # -- views ------------------------------------------------------------
 
@@ -186,11 +171,6 @@ class MeasurementMatrix:
 
     def is_binary(self) -> bool:
         return bool(np.all(self.data == 1))
-
-    def constant_support(self):
-        """Common nonzero count per column, or None if it varies."""
-        sizes = np.diff(self.indptr)
-        return int(sizes[0]) if np.all(sizes == sizes[0]) else None
 
     def to_dense(self) -> np.ndarray:
         return _densify(self.n, self.indptr, self.indices, self.data)
@@ -492,18 +472,14 @@ def welch_bound_squared(n: int, N: int) -> Fraction:
     return Fraction(N, n * (N - n))
 
 
-def sparsity_order_bound(mu, n: int | None = None) -> int:
+def sparsity_order_bound(mu, n: int) -> int:
     """floor(1/mu) + 1 with exact rational/surd floor.
 
     mu == 0 means orthonormal columns and a vacuous bound; the convention is
-    k = n, so n must be supplied in that case (else ZeroCoherence is raised).
+    then k = n.
     """
     exact = as_exact(mu)
-    if not exact:
-        if n is None:
-            raise ZeroCoherence("orthonormal columns: bound vacuous, pass n")
-        return n
-    return floor_reciprocal(exact) + 1
+    return floor_reciprocal(exact) + 1 if exact else n
 
 
 @dataclass
@@ -526,7 +502,7 @@ class StrongCoherenceVerdict:
 def _verdict(mu, omega, n: int, N: int, log_base: str,
              omega_mode: str) -> StrongCoherenceVerdict:
     """mu <= 1/(160 log N) and omega <= mu/sqrt(n), both exact."""
-    rhs = (SurdSum() + mu).times_sqrt(n) / n  # mu / sqrt(n)
+    rhs = SurdSum({n: 1}) * mu / n  # mu / sqrt(n)
     return StrongCoherenceVerdict(leq_reciprocal_log(mu, N, log_base),
                                   exact_leq(omega, rhs), log_base, omega_mode)
 
@@ -701,4 +677,4 @@ def read_sparse(path, meta=None) -> MeasurementMatrix:
             raise FormatError(f"column {int(np.argmin(sizes))} has no entries",
                               line=count + 1)
     indptr = np.concatenate(([0], np.cumsum(sizes)))
-    return MeasurementMatrix.from_csc(n, N, indptr, rows, vals, meta=meta)
+    return MeasurementMatrix(n, N, indptr, rows, vals, meta=meta)

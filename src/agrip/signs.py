@@ -33,7 +33,6 @@ which is how matrix._function_space_scan reports a balanced matrix.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,14 +201,6 @@ def randomize_signs(M: MeasurementMatrix, seed: int) -> MeasurementMatrix:
     meta["sign_scheme"] = {"kind": "random_pm1", "seed": int(seed)}
     return MeasurementMatrix._unchecked(M.n, M.N, M.indptr, M.indices,
                                         bits * 2 - 1, meta=meta)
-
-
-def expected_abs_inner_product(L: int) -> Fraction:
-    """E|sum of L independent +-1 products| = sum_w |L-2w| C(L,w) 2^-L, exact."""
-    if L < 0:
-        raise PreconditionError("overlap count must be >= 0")
-    total = sum(abs(L - 2 * w) * math.comb(L, w) for w in range(L + 1))
-    return Fraction(total, 2 ** L)
 
 
 def _column_parities(design: EvaluationDesign,

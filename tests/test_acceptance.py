@@ -47,7 +47,6 @@ from agrip.matrix import average_coherence, coherence, coherence_report
 from agrip.signs import (
     balanced_matrix,
     certify_strong_coherence,
-    expected_abs_inner_product,
     randomize_signs,
 )
 from agrip.recovery import run_experiment
@@ -57,6 +56,7 @@ from agrip.verification import (
     coherence_via_differences,
     fermat_section_counts,
 )
+from tests.test_signs import expected_abs_inner_product
 
 
 def report(criterion, ok, detail=""):

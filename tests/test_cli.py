@@ -407,6 +407,24 @@ def test_sign_balanced_rejects_an_input_that_is_not_the_unsigned_matrix(
     assert not (tmp_path / "b.agrip").exists()
 
 
+def test_sign_ones_rejects_a_signed_input(tmp_path, capsys):
+    out = tmp_path / "d.agrip"
+    run_cli("construct", "--family", "devore", "--field", "3", "--r", "2",
+            "--out", str(out))
+    signed = tmp_path / "r.agrip"
+    assert run_cli("sign", "--scheme", "random:5", "--in", str(out),
+                   "--design", str(out) + ".json", "--out", str(signed)) == 0
+    capsys.readouterr()
+    ones = tmp_path / "o.agrip"
+    assert run_cli("sign", "--scheme", "ones", "--in", str(signed),
+                   "--design", str(signed) + ".json", "--out", str(ones)) == 2
+    assert "is not a 0/1 matrix" in capsys.readouterr().err
+    assert not ones.exists()
+    assert run_cli("sign", "--scheme", "ones", "--in", str(out),
+                   "--design", str(out) + ".json", "--out", str(ones)) == 0
+    assert ones.read_bytes() == out.read_bytes()
+
+
 def test_sign_random_reproducible(tmp_path):
     out = tmp_path / "d.agrip"
     run_cli("construct", "--family", "devore", "--field", "3", "--r", "2",
@@ -856,7 +874,7 @@ def test_tampered_function_space_file_takes_the_pairwise_scan(tmp_path,
     M = read_sparse(signed)
     data = M.data.copy()
     data[M.indptr[7] + 2] *= -1
-    tampered = MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices, data)
+    tampered = MeasurementMatrix(M.n, M.N, M.indptr, M.indices, data)
     write_sparse(tampered, signed)
     assert run_cli("analyze", "--in", str(signed)) == 0
     report = json.loads(capsys.readouterr().out)

@@ -19,7 +19,6 @@ from agrip.constructions import (
     EvaluationDesign,
     build_design,
     coefficient_digits,
-    conic_symmetric_singular_mask,
     construction_a_simple_poles,
     construction_a_single_point,
     devore,
@@ -55,7 +54,7 @@ def exact_leq_bound(mu, num, den):
 def test_devore_f3_r2_shape_and_mu():
     M = devore(make_field(3), 2)
     assert (M.n, M.N) == (9, 9)
-    assert M.constant_support() == 3
+    assert (np.diff(M.indptr) == 3).all()
     assert coherence(M) == Fraction(1, 3)
 
 
@@ -81,7 +80,7 @@ def test_devore_extension_field():
     f4 = make_field(2, 2)
     M = devore(f4, 2)
     assert (M.n, M.N) == (16, 16)
-    assert M.constant_support() == 4
+    assert (np.diff(M.indptr) == 4).all()
     assert coherence(M) == Fraction(1, 4)
 
 
@@ -163,6 +162,27 @@ def test_p2_point_count():
     for q in (2, 3, 4):
         f = make_field(*(2, 2) if q == 4 else (q, 1))
         assert len(_projective_points(f.q, 2)) == q * q + q + 1
+
+
+def conic_symmetric_singular_mask(field):
+    """Classical cross-check for odd p: a conic is singular iff the
+    determinant of its symmetric coefficient matrix vanishes."""
+    if field.p == 2:
+        raise PreconditionError("symmetric-matrix test fails in characteristic 2")
+    q = field.q
+    digits = coefficient_digits(q, np.arange(q ** 6, dtype=np.int64), 6)
+    # monomial order: x^2, xy, xz, y^2, yz, z^2
+    a, d, e, b, f, c = (digits[:, t] for t in range(6))
+    mul, add, sub = field.np_mul, field.np_add, field.np_sub
+    two = np.int64(2 % field.p)
+    A2, B2, C2 = mul(two, a), mul(two, b), mul(two, c)
+    # det of [[2a, d, e], [d, 2b, f], [e, f, 2c]] by cofactor expansion
+    det = mul(A2, sub(mul(B2, C2), mul(f, f)))
+    det = add(det, mul(d, sub(mul(f, e), mul(d, C2))))
+    det = add(det, mul(e, sub(mul(d, f), mul(B2, e))))
+    mask = det == 0
+    mask[0] = True
+    return mask
 
 
 def test_conic_engine_matches_symmetric_rank_test_odd_p():
@@ -402,7 +422,7 @@ def test_plane_curve_matrix_f3():
     assert M.n == 13
     assert M.N == M.meta["class_count"]
     # all smooth conics have exactly q + 1 = 4 points
-    assert M.constant_support() == 4
+    assert (np.diff(M.indptr) == 4).all()
 
 
 def test_plane_curve_cap():

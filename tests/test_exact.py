@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 import agrip
 from agrip.exact import (
     SurdSum,
+    as_exact,
     exact_decimal,
     exact_leq,
-    exact_ratio_sqrt,
     floor_reciprocal,
     leq_reciprocal_log,
     squarefree_decompose,
@@ -68,14 +68,14 @@ def test_squarefree_decompose_matches_a_square_root_bound(n):
 
 
 def test_ratio_sqrt_rational_cases():
-    assert exact_ratio_sqrt(3, 9) == Fraction(1, 1)
-    assert exact_ratio_sqrt(2, 4) == Fraction(1, 1)
-    assert exact_ratio_sqrt(5, 25) == Fraction(1, 1)
-    assert exact_ratio_sqrt(1, 16) == Fraction(1, 4)
+    assert as_exact(SurdSum.ratio_sqrt(3, 9)) == Fraction(1, 1)
+    assert as_exact(SurdSum.ratio_sqrt(2, 4)) == Fraction(1, 1)
+    assert as_exact(SurdSum.ratio_sqrt(5, 25)) == Fraction(1, 1)
+    assert as_exact(SurdSum.ratio_sqrt(1, 16)) == Fraction(1, 4)
 
 
 def test_ratio_sqrt_irrational_value():
-    v = exact_ratio_sqrt(1, 2)  # 1/sqrt(2)
+    v = as_exact(SurdSum.ratio_sqrt(1, 2))  # 1/sqrt(2)
     assert isinstance(v, SurdSum)
     assert abs(float(v) - 1 / math.sqrt(2)) < 1e-12
     assert v.squared() == Fraction(1, 2)
@@ -107,14 +107,14 @@ def test_sum_ordering_with_mixed_radicands():
 
 
 def test_times_sqrt_and_scalars():
-    v = SurdSum({1: Fraction(1, 3)}).times_sqrt(9)
+    v = SurdSum({1: Fraction(1, 3)}) * SurdSum({9: 1})
     assert v == Fraction(1)
-    w = SurdSum.ratio_sqrt(1, 3).times_sqrt(3)
+    w = SurdSum.ratio_sqrt(1, 3) * SurdSum({3: 1})
     assert w == Fraction(1)
     assert (SurdSum({2: 1}) * Fraction(1, 2)) * 2 == SurdSum({2: 1})
     for m in (0, -3):
         with pytest.raises(ValueError, match="positive"):
-            SurdSum({2: 1}).times_sqrt(m)
+            SurdSum({2: 1}) * SurdSum({m: 1})
     assert SurdSum({2: 1}) / 2 == SurdSum({2: Fraction(1, 2)})
 
 
@@ -210,7 +210,7 @@ def test_arithmetic_is_the_canonical_form_of_the_naive_terms(x, y, m):
                          for r2, c2 in y.terms()))),
         (x + y, _naive(*x.terms(), *y.terms())),
         (x - y, _naive(*x.terms(), *((r, -c) for r, c in y.terms()))),
-        (x.times_sqrt(m), _naive(*((r * m, c) for r, c in x.terms()))),
+        (x * SurdSum({m: 1}), _naive(*((r * m, c) for r, c in x.terms()))),
     ]
     for got, want in cases:
         assert got.terms() == want.terms()

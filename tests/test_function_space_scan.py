@@ -144,8 +144,7 @@ def test_function_space_scan_matches_the_oracle_on_random_designs(design):
 
 
 def _with_arrays(M, data, meta):
-    return MeasurementMatrix.from_csc(M.n, M.N, M.indptr, M.indices, data,
-                                      meta=meta)
+    return MeasurementMatrix(M.n, M.N, M.indptr, M.indices, data, meta=meta)
 
 
 @settings(max_examples=40, deadline=None)

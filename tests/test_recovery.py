@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from agrip import recovery
 from agrip.errors import PreconditionError
 from agrip.fields import make_field
-from agrip.matrix import MeasurementMatrix
 from agrip.constructions import (
     construction_a_simple_poles,
     devore,
@@ -25,7 +24,7 @@ from agrip.recovery import (
     one_step_thresholding,
     run_experiment,
 )
-from tests.test_matrix import dense_to_matrix, identity_matrix
+from tests.test_matrix import dense_to_matrix, from_columns, identity_matrix
 
 
 def test_sparse_signal_validation():
@@ -108,7 +107,7 @@ def test_omp_rejects_sparsity_outside_one_to_min_n_n(k):
                                       (1 << 32, False), (-(1 << 63), False)])
 def test_squared_norms_that_overflow_int64_are_refused(top, fits):
     """max|a|^2 times the longest column (2 here) must stay under 2^63."""
-    M = MeasurementMatrix(3, 3, [([0, 1], [top, top]), ([1], [1]), ([2], [1])])
+    M = from_columns(3, [([0, 1], [top, top]), ([1], [1]), ([2], [1])])
     if fits:
         assert M.sqnorms().tolist() == [2 * top * top, 1, 1]
         return
